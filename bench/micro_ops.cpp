@@ -6,7 +6,7 @@
 
 #include "core/bsbrc.hpp"
 #include "core/engine.hpp"
-#include "core/worker_pool.hpp"
+#include "core/engine_context.hpp"
 #include "core/order.hpp"
 #include "core/wire.hpp"
 #include "image/kernels.hpp"
@@ -139,7 +139,7 @@ void BM_PackRectPixels(benchmark::State& state) {
 }
 BENCHMARK(BM_PackRectPixels);
 
-// The engine's scratch reuse (EngineContext per-worker pack buffer) versus a
+// The engine's scratch reuse (EngineContext per-rank pack buffer) versus a
 // fresh PackBuffer per message — the allocation/zeroing cost every stage of
 // every frame pays without the per-rank scratch arena. Compare against
 // BM_PackReusedArena.
@@ -160,7 +160,7 @@ void BM_PackReusedArena(benchmark::State& state) {
   const img::Rect rect{32, 32, 352, 352};
   core::EngineContext engine;
   for (auto _ : state) {
-    img::PackBuffer& buf = engine.scratch(0).pack;
+    img::PackBuffer& buf = engine.scratch().pack;
     buf.clear();  // keeps capacity: no allocation after the first iteration
     core::wire::pack_rect_pixels(image, rect, buf);
     benchmark::DoNotOptimize(buf.bytes().data());

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/engine_context.hpp"
 #include "core/wire.hpp"
-#include "core/worker_pool.hpp"
 #include "image/kernels.hpp"
 
 namespace slspvr::core {
@@ -20,50 +19,22 @@ void PayloadCodec::encode_rect(const img::Image&, const img::Rect&, const img::R
   throw std::logic_error(std::string(name()) + ": codec does not encode rectangles");
 }
 
-img::Rect PayloadCodec::decode_rect(img::Image&, const img::Rect&, img::UnpackBuffer&, bool,
-                                    Counters&) const {
-  throw std::logic_error(std::string(name()) + ": codec does not decode rectangles");
-}
-
 void PayloadCodec::encode_range(const img::Image&, const img::InterleavedRange&,
                                 img::PackBuffer&, Counters&) const {
   throw std::logic_error(std::string(name()) + ": codec does not encode progressions");
 }
 
-void PayloadCodec::decode_range(img::Image&, const img::InterleavedRange&, img::UnpackBuffer&,
-                                bool, Counters&) const {
+img::Rect PayloadCodec::decode_rect_into(DecodeSink&, const img::Rect&,
+                                         img::UnpackBuffer&) const {
+  throw std::logic_error(std::string(name()) + ": codec does not decode rectangles");
+}
+
+void PayloadCodec::decode_range_into(DecodeSink&, const img::InterleavedRange&,
+                                     img::UnpackBuffer&) const {
   throw std::logic_error(std::string(name()) + ": codec does not decode progressions");
 }
 
-img::Rect PayloadCodec::decode_rect_into(DecodeSink& sink, const img::Rect& part,
-                                         img::UnpackBuffer& in) const {
-  return decode_rect(sink.image, part, in, sink.incoming_in_front, sink.counters);
-}
-
-void PayloadCodec::decode_range_into(DecodeSink& sink, const img::InterleavedRange& part,
-                                     img::UnpackBuffer& in) const {
-  decode_range(sink.image, part, in, sink.incoming_in_front, sink.counters);
-}
-
 namespace {
-
-// ---- streaming-decode plumbing -------------------------------------------
-
-EngineScratch& sink_scratch(const DecodeSink& sink, int worker) {
-  return sink.engine.scratch(worker);
-}
-
-[[nodiscard]] int sink_workers(const DecodeSink& sink) { return sink.engine.workers(); }
-
-[[nodiscard]] bool sink_fused(const DecodeSink& sink) {
-  return sink.engine.config().fused_decode;
-}
-
-/// Fan a banded task across the sink's engine pool (a 1-wide pool runs the
-/// task inline on the caller).
-void run_banded(const DecodeSink& sink, const std::function<void(int)>& fn) {
-  sink.engine.pool().run(fn);
-}
 
 /// Reinterpret a borrowed wire section as `T[count]`, bouncing through
 /// `bounce` when the in-buffer address is misaligned for T (possible only if
@@ -80,63 +51,25 @@ const T* aligned_view(std::span<const std::byte> bytes, std::size_t count,
   return bounce.data();
 }
 
-/// Band-parallel blend of a raw row-major pixel payload over `rect`,
-/// straight out of the receive buffer (FullPixel / BoundingRect bodies).
+/// Each composited pixel is one over op and one received pixel.
+void charge(DecodeSink& sink, std::int64_t composited) {
+  sink.counters.over_ops += composited;
+  sink.counters.pixels_received += composited;
+}
+
+/// Blend a raw row-major pixel payload over `rect`, straight out of the
+/// receive buffer (FullPixel / BoundingRect bodies).
 void composite_raw_rect_view(DecodeSink& sink, const img::Rect& rect, img::UnpackBuffer& in) {
   const std::span<const std::byte> bytes =
       in.get_bytes(static_cast<std::size_t>(rect.area()) * sizeof(img::Pixel));
-  const img::Pixel* pixels =
-      aligned_view(bytes, static_cast<std::size_t>(rect.area()), sink_scratch(sink, 0).bounce);
-  const int nworkers = sink_workers(sink);
-  img::Image& image = sink.image;
-  const bool in_front = sink.incoming_in_front;
-  run_banded(sink, [&](int w) {
-    const ChunkBounds band = chunk_bounds(rect.height(), nworkers, w);
-    for (std::int64_t y = band.first; y < band.last; ++y) {
-      img::kern::composite_span(&image.at(rect.x0, rect.y0 + static_cast<int>(y)),
-                                pixels + y * rect.width(), rect.width(), in_front);
-    }
-  });
-  sink.counters.over_ops += rect.area();
-  sink.counters.pixels_received += rect.area();
-}
-
-/// Blend one band of an interleaved-RLE message: the strided equivalent of
-/// kern::composite_rle_span, reproducing composite_rle_strided's per-run
-/// gather → composite_span → scatter arithmetic over the band's elements
-/// (runs split at band boundaries change only the chunking, not any pixel's
-/// arithmetic). Returns the number of pixels composited.
-std::int64_t composite_rle_strided_band(img::Image& image, const img::InterleavedRange& range,
-                                        const wire::RleView& view, img::kern::RleCursor cur,
-                                        std::int64_t pos, std::int64_t n, bool in_front,
-                                        std::vector<img::Pixel>& staging) {
-  std::int64_t composited = 0;
-  while (n > 0) {
-    if (cur.run_left == 0) {
-      if (cur.code >= view.ncodes) break;
-      cur.blank = !cur.blank;
-      cur.run_left = view.codes[cur.code++];
-      continue;
-    }
-    const std::int64_t take = std::min(cur.run_left, n);
-    if (!cur.blank) {
-      if (static_cast<std::int64_t>(staging.size()) < take) {
-        staging.resize(static_cast<std::size_t>(take));
-      }
-      const std::int64_t offset = range.index(pos);
-      img::kern::gather_strided(image.pixels().data(), offset, range.stride, take,
-                                staging.data());
-      img::kern::composite_span(staging.data(), view.pixels + cur.pixel, take, in_front);
-      img::kern::scatter_strided(staging.data(), take, image.pixels().data(), offset,
-                                 range.stride);
-      cur.pixel += take;
-      composited += take;
-    }
-    cur.run_left -= take;
-    pos += take;
-    n -= take;
+  const img::Pixel* pixels = aligned_view(bytes, static_cast<std::size_t>(rect.area()),
+                                          sink.engine.scratch().bounce);
+  for (int y = 0; y < rect.height(); ++y) {
+    img::kern::composite_span(&sink.image.at(rect.x0, rect.y0 + y),
+                              pixels + static_cast<std::int64_t>(y) * rect.width(),
+                              rect.width(), sink.incoming_in_front);
   }
-  return composited;
+  charge(sink, rect.area());
 }
 
 /// Raw region pixels, no header: 16 B/pixel over the whole part.
@@ -152,14 +85,8 @@ class FullPixelCodec final : public PayloadCodec {
     wire::pack_rect_pixels(image, part, buf);
     counters.pixels_sent += part.area();
   }
-  img::Rect decode_rect(img::Image& image, const img::Rect& part, img::UnpackBuffer& in,
-                        bool incoming_in_front, Counters& counters) const override {
-    wire::unpack_composite_rect(image, part, in, incoming_in_front, counters);
-    return part;
-  }
   img::Rect decode_rect_into(DecodeSink& sink, const img::Rect& part,
                              img::UnpackBuffer& in) const override {
-    if (!sink_fused(sink)) return PayloadCodec::decode_rect_into(sink, part, in);
     composite_raw_rect_view(sink, part, in);
     return part;
   }
@@ -177,14 +104,8 @@ class BoundingRectCodec final : public PayloadCodec {
                    img::PackBuffer& buf, Counters& counters) const override {
     wire::pack_raw_rect(image, clip, buf, counters);
   }
-  img::Rect decode_rect(img::Image& image, const img::Rect&, img::UnpackBuffer& in,
-                        bool incoming_in_front, Counters& counters) const override {
-    return wire::unpack_composite_raw_rect(image, in, image.bounds(), incoming_in_front,
-                                           counters);
-  }
-  img::Rect decode_rect_into(DecodeSink& sink, const img::Rect& part,
+  img::Rect decode_rect_into(DecodeSink& sink, const img::Rect&,
                              img::UnpackBuffer& in) const override {
-    if (!sink_fused(sink)) return PayloadCodec::decode_rect_into(sink, part, in);
     const img::Rect rect = wire::parse_rect(in, sink.image.bounds());
     if (!rect.empty()) composite_raw_rect_view(sink, rect, in);
     return rect;
@@ -204,46 +125,32 @@ class RleRectCodec final : public PayloadCodec {
                    img::PackBuffer& buf, Counters& counters) const override {
     wire::pack_rle_rect(image, clip, buf, counters);
   }
-  img::Rect decode_rect(img::Image& image, const img::Rect&, img::UnpackBuffer& in,
-                        bool incoming_in_front, Counters& counters) const override {
-    return wire::unpack_composite_rle_rect(image, in, image.bounds(), incoming_in_front,
-                                           counters);
-  }
-  img::Rect decode_rect_into(DecodeSink& sink, const img::Rect& part,
+  img::Rect decode_rect_into(DecodeSink& sink, const img::Rect&,
                              img::UnpackBuffer& in) const override {
-    if (!sink_fused(sink)) return PayloadCodec::decode_rect_into(sink, part, in);
     const img::Rect rect = wire::parse_rect(in, sink.image.bounds());
     if (rect.empty()) return rect;
-    EngineScratch& s0 = sink_scratch(sink, 0);
-    const wire::RleView view = wire::parse_rle_view(in, rect.area(), s0.bounce, s0.code_bounce);
-    const int nworkers = sink_workers(sink);
-    // Serial prescan: band w's cursor is the walk state at its first
-    // sequence element (runs — including kMaxRun escape chains — straddle
-    // band boundaries freely; rle_skip resumes mid-run).
-    std::vector<img::kern::RleCursor> cursors(static_cast<std::size_t>(nworkers));
-    img::kern::RleCursor cur;
-    std::int64_t at = 0;
-    for (int w = 0; w < nworkers; ++w) {
-      const ChunkBounds band = chunk_bounds(rect.area(), nworkers, w);
-      img::kern::rle_skip(view.codes, view.ncodes, cur, band.first - at);
-      at = band.first;
-      cursors[static_cast<std::size_t>(w)] = cur;
-    }
-    std::vector<std::int64_t> composited(static_cast<std::size_t>(nworkers), 0);
-    img::Image& image = sink.image;
-    const bool in_front = sink.incoming_in_front;
-    run_banded(sink, [&](int w) {
-      const ChunkBounds band = chunk_bounds(rect.area(), nworkers, w);
-      if (band.count() == 0) return;
-      img::kern::RleCursor c = cursors[static_cast<std::size_t>(w)];
-      composited[static_cast<std::size_t>(w)] = img::kern::composite_rle_span(
-          &image.at(rect.x0, rect.y0), band.first, rect.width(), image.width(), view.codes,
-          view.ncodes, view.pixels, c, band.count(), in_front);
-    });
-    std::int64_t total = 0;
-    for (const std::int64_t c : composited) total += c;
-    sink.counters.over_ops += total;
-    sink.counters.pixels_received += total;
+    EngineScratch& scratch = sink.engine.scratch();
+    const wire::RleView view =
+        wire::parse_rle_view(in, rect.area(), scratch.bounce, scratch.code_bounce);
+    const int w = rect.width();
+    std::int64_t composited = 0;
+    // Whole runs at a time, split only where a run crosses a rectangle row.
+    img::rle_for_each_non_blank_run(
+        view.codes, view.ncodes, view.pixels,
+        [&](std::int64_t pos, std::int64_t len, const img::Pixel* pixels) {
+          composited += len;
+          while (len > 0) {
+            const int x = rect.x0 + static_cast<int>(pos % w);
+            const int y = rect.y0 + static_cast<int>(pos / w);
+            const std::int64_t chunk = std::min<std::int64_t>(len, rect.x1 - x);
+            img::kern::composite_span(&sink.image.at(x, y), pixels, chunk,
+                                      sink.incoming_in_front);
+            pos += chunk;
+            pixels += chunk;
+            len -= chunk;
+          }
+        });
+    charge(sink, composited);
     return rect;
   }
 };
@@ -262,57 +169,15 @@ class SpanRectCodec final : public PayloadCodec {
                    img::PackBuffer& buf, Counters& counters) const override {
     wire::pack_span_rect(image, clip, buf, counters);
   }
-  img::Rect decode_rect(img::Image& image, const img::Rect&, img::UnpackBuffer& in,
-                        bool incoming_in_front, Counters& counters) const override {
-    return wire::unpack_composite_span_rect(image, in, image.bounds(), incoming_in_front,
-                                            counters);
-  }
-  img::Rect decode_rect_into(DecodeSink& sink, const img::Rect& part,
+  img::Rect decode_rect_into(DecodeSink& sink, const img::Rect&,
                              img::UnpackBuffer& in) const override {
-    if (!sink_fused(sink)) return PayloadCodec::decode_rect_into(sink, part, in);
     const img::Rect rect = wire::parse_rect(in, sink.image.bounds());
     if (rect.empty()) return rect;
-    const wire::SpanView view = wire::parse_spans_view(in, rect, sink_scratch(sink, 0).bounce);
-    const int nworkers = sink_workers(sink);
-    // Serial prescan: prefix sums of span and payload counts up to each row
-    // band, so every worker starts at its band's first span and pixel.
-    struct BandStart {
-      std::size_t span = 0;
-      std::int64_t pixel = 0;
-    };
-    std::vector<BandStart> starts(static_cast<std::size_t>(nworkers));
-    {
-      std::size_t span_idx = 0;
-      std::int64_t pixel_idx = 0;
-      std::int64_t row = 0;
-      for (int w = 0; w < nworkers; ++w) {
-        const ChunkBounds band = chunk_bounds(rect.height(), nworkers, w);
-        starts[static_cast<std::size_t>(w)] = BandStart{span_idx, pixel_idx};
-        for (; row < band.last; ++row) {
-          const std::uint16_t nspans = view.row_counts[row];
-          for (std::uint16_t s = 0; s < nspans; ++s) {
-            pixel_idx += view.spans[span_idx + s].len;
-          }
-          span_idx += nspans;
-        }
-      }
-    }
-    std::vector<std::int64_t> composited(static_cast<std::size_t>(nworkers), 0);
-    img::Image& image = sink.image;
-    const bool in_front = sink.incoming_in_front;
-    run_banded(sink, [&](int w) {
-      const ChunkBounds band = chunk_bounds(rect.height(), nworkers, w);
-      if (band.count() == 0) return;
-      const BandStart& start = starts[static_cast<std::size_t>(w)];
-      composited[static_cast<std::size_t>(w)] = img::kern::composite_span_rows(
-          &image.at(rect.x0, rect.y0 + static_cast<int>(band.first)), image.width(),
-          view.row_counts + band.first, band.count(), view.spans + start.span,
-          view.pixels + start.pixel, in_front);
-    });
-    std::int64_t total = 0;
-    for (const std::int64_t c : composited) total += c;
-    sink.counters.over_ops += total;
-    sink.counters.pixels_received += total;
+    const wire::SpanView view = wire::parse_spans_view(in, rect, sink.engine.scratch().bounce);
+    charge(sink, img::kern::composite_span_rows(&sink.image.at(rect.x0, rect.y0),
+                                                sink.image.width(), view.row_counts,
+                                                rect.height(), view.spans, view.pixels,
+                                                sink.incoming_in_front));
     return rect;
   }
 };
@@ -333,41 +198,29 @@ class InterleavedRleCodec final : public PayloadCodec {
     buf.reserve(buf.size() + static_cast<std::size_t>(rle.wire_bytes()));
     wire::pack_rle(rle, buf);
   }
-  void decode_range(img::Image& image, const img::InterleavedRange& part,
-                    img::UnpackBuffer& in, bool incoming_in_front,
-                    Counters& counters) const override {
-    const img::Rle incoming = wire::parse_rle(in, part.count);
-    wire::composite_rle_strided(image, part, incoming, incoming_in_front, counters);
-  }
   void decode_range_into(DecodeSink& sink, const img::InterleavedRange& part,
                          img::UnpackBuffer& in) const override {
-    if (!sink_fused(sink)) return PayloadCodec::decode_range_into(sink, part, in);
-    EngineScratch& s0 = sink_scratch(sink, 0);
-    const wire::RleView view = wire::parse_rle_view(in, part.count, s0.bounce, s0.code_bounce);
-    const int nworkers = sink_workers(sink);
-    std::vector<img::kern::RleCursor> cursors(static_cast<std::size_t>(nworkers));
-    img::kern::RleCursor cur;
-    std::int64_t at = 0;
-    for (int w = 0; w < nworkers; ++w) {
-      const ChunkBounds band = chunk_bounds(part.count, nworkers, w);
-      img::kern::rle_skip(view.codes, view.ncodes, cur, band.first - at);
-      at = band.first;
-      cursors[static_cast<std::size_t>(w)] = cur;
-    }
-    std::vector<std::int64_t> composited(static_cast<std::size_t>(nworkers), 0);
-    img::Image& image = sink.image;
-    const bool in_front = sink.incoming_in_front;
-    run_banded(sink, [&](int w) {
-      const ChunkBounds band = chunk_bounds(part.count, nworkers, w);
-      if (band.count() == 0) return;
-      composited[static_cast<std::size_t>(w)] = composite_rle_strided_band(
-          image, part, view, cursors[static_cast<std::size_t>(w)], band.first, band.count(),
-          in_front, sink_scratch(sink, w).staging);
-    });
-    std::int64_t total = 0;
-    for (const std::int64_t c : composited) total += c;
-    sink.counters.over_ops += total;
-    sink.counters.pixels_received += total;
+    EngineScratch& scratch = sink.engine.scratch();
+    const wire::RleView view =
+        wire::parse_rle_view(in, part.count, scratch.bounce, scratch.code_bounce);
+    img::Pixel* frame = sink.image.pixels().data();
+    std::vector<img::Pixel>& staging = scratch.staging;
+    std::int64_t composited = 0;
+    // Per run: gather the local strided pixels contiguous, blend the whole
+    // run with the span kernel, scatter the result back.
+    img::rle_for_each_non_blank_run(
+        view.codes, view.ncodes, view.pixels,
+        [&](std::int64_t pos, std::int64_t len, const img::Pixel* pixels) {
+          if (static_cast<std::int64_t>(staging.size()) < len) {
+            staging.resize(static_cast<std::size_t>(len));
+          }
+          const std::int64_t offset = part.index(pos);
+          img::kern::gather_strided(frame, offset, part.stride, len, staging.data());
+          img::kern::composite_span(staging.data(), pixels, len, sink.incoming_in_front);
+          img::kern::scatter_strided(staging.data(), len, frame, offset, part.stride);
+          composited += len;
+        });
+    charge(sink, composited);
   }
 };
 

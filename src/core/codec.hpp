@@ -30,13 +30,11 @@ enum class CodecKind {
   kInterleavedRle,  ///< RLE of an interleaved progression, scalar (BSLC)
 };
 
-class EngineContext;  // core/worker_pool.hpp
+class EngineContext;  // core/engine_context.hpp
 
-/// Destination context for the streaming decode path (decode_*_into): the
-/// frame to blend into, the blend order, the counters to charge, and the
-/// per-rank engine context supplying configuration (fused on/off) and the
-/// worker pool + scratch for band-parallel blending (a 1-wide pool runs
-/// inline on the caller).
+/// Destination of a decode: the frame to blend into, the blend order, the
+/// counters to charge, and the rank's engine context, whose scratch backs
+/// the strided staging and misaligned-payload bounce copies.
 struct DecodeSink {
   img::Image& image;
   bool incoming_in_front;
@@ -66,30 +64,20 @@ class PayloadCodec {
                            const img::Rect& clip, img::PackBuffer& buf,
                            Counters& counters) const;
 
-  /// Decode one message covering `part` and composite it into `image`.
-  /// Returns the rectangle the message actually covered (for trackers).
-  virtual img::Rect decode_rect(img::Image& image, const img::Rect& part,
-                                img::UnpackBuffer& in, bool incoming_in_front,
-                                Counters& counters) const;
-
-  /// Scalar variants over interleaved progressions.
+  /// The scalar twin: encode an interleaved progression.
   virtual void encode_range(const img::Image& image, const img::InterleavedRange& part,
                             img::PackBuffer& buf, Counters& counters) const;
-  virtual void decode_range(img::Image& image, const img::InterleavedRange& part,
-                            img::UnpackBuffer& in, bool incoming_in_front,
-                            Counters& counters) const;
 
-  /// Streaming decode: composite one message straight out of the receive
-  /// buffer (no unpacked intermediate), band-parallel across the sink's
-  /// engine pool — row bands for rect codecs, element chunks for scalar
-  /// ones. Byte-identical to decode_rect/decode_range by construction (same
-  /// per-pixel arithmetic in the same order within every pixel; bands only
-  /// repartition who blends which rows). The default delegates to the
-  /// materializing decoders; overrides also fall back to them when the
-  /// sink's engine config has fused_decode off, so the legacy path stays
-  /// benchmarkable.
+  /// Decode one message covering `part` and composite it into the sink's
+  /// frame straight out of the receive buffer (no unpacked intermediate).
+  /// Returns the rectangle the message actually covered (for trackers).
+  /// Byte-identical, with identical counters, to the matching wire-level
+  /// unpack-then-blend reference (wire::unpack_composite_*).
   virtual img::Rect decode_rect_into(DecodeSink& sink, const img::Rect& part,
                                      img::UnpackBuffer& in) const;
+
+  /// The scalar twin over an interleaved progression; the reference is
+  /// wire::parse_rle + wire::composite_rle_strided.
   virtual void decode_range_into(DecodeSink& sink, const img::InterleavedRange& part,
                                  img::UnpackBuffer& in) const;
 };

@@ -14,7 +14,7 @@
 
 namespace slspvr::core {
 
-class EngineContext;  // core/worker_pool.hpp
+class EngineContext;  // core/engine_context.hpp
 
 /// What a rank owns when its compositing phase finishes.
 struct Ownership {
@@ -49,8 +49,8 @@ struct Ownership {
 ///    reserved for out-of-phase traffic, e.g. the final gather);
 ///  * respect the front/back decisions in `order`;
 ///  * account every over/encode/scan operation in `counters`;
-///  * take every engine knob (worker fan-out, fused decode, scratch) from
-///    `engine` — there is no process-global engine state, so concurrent
+///  * take all engine scratch from `engine` — there is no process-global
+///    engine state, so concurrent
 ///    frames in one process are correct as long as each passes its own
 ///    context (EngineArena pools per-rank contexts across a session).
 class Compositor {
@@ -62,9 +62,8 @@ class Compositor {
   virtual Ownership composite(mp::Comm& comm, img::Image& image, const SwapOrder& order,
                               Counters& counters, EngineContext& engine) const = 0;
 
-  /// Convenience overload: run with a one-shot default engine context
-  /// (single worker, fused decode) constructed for this call — the
-  /// historical single-thread behaviour, byte-identical by construction.
+  /// Convenience overload: run with a one-shot engine context constructed
+  /// for this call (its scratch starts cold; the bytes are the same).
   Ownership composite(mp::Comm& comm, img::Image& image, const SwapOrder& order,
                       Counters& counters) const;
 

@@ -6,8 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "core/wire.hpp"
-#include "core/worker_pool.hpp"
+#include "core/engine_context.hpp"
 #include "image/kernels.hpp"
 
 namespace slspvr::core {
@@ -50,99 +49,43 @@ namespace {
   return parts;
 }
 
-/// The calling PE thread's snapshot sink (null = retention off). Genuinely
-/// per-PE-thread (not per pool worker): only the rank's own thread walks the
-/// stage loop; pool workers never consult it.
+/// The calling PE thread's snapshot sink (null = retention off). Per PE
+/// thread: only the rank's own thread walks the stage loop.
 thread_local StageSnapshotSink* g_stage_retention = nullptr;
 
-/// Band-parallel "own contribution" blend of a depth-order rect stage:
-/// result = result OVER image inside `rect`, row bands fanned across the
-/// pool. Same per-pixel arithmetic as img::composite_region (which this
-/// replaces on the engine path); charges rect.area() over ops like it.
-void composite_own_rect(WorkerPool& pool, img::Image& result, const img::Image& image,
-                        const img::Rect& rect, Counters& counters) {
+/// "Own contribution" blend of a depth-order rect stage: result = result
+/// OVER image inside `rect`, row by row. Same per-pixel arithmetic as
+/// img::composite_region (which this replaces on the engine path); charges
+/// rect.area() over ops like it.
+void composite_own_rect(img::Image& result, const img::Image& image, const img::Rect& rect,
+                        Counters& counters) {
   if (rect.empty()) return;
-  const int nworkers = pool.workers();
-  pool.run([&](int w) {
-    const ChunkBounds band = chunk_bounds(rect.height(), nworkers, w);
-    for (std::int64_t y = band.first; y < band.last; ++y) {
-      const int row = rect.y0 + static_cast<int>(y);
-      img::kern::composite_span(&result.at(rect.x0, row), &image.at(rect.x0, row),
-                                rect.width(), /*incoming_in_front=*/false);
-    }
-  });
+  for (int y = rect.y0; y < rect.y1; ++y) {
+    img::kern::composite_span(&result.at(rect.x0, y), &image.at(rect.x0, y), rect.width(),
+                              /*incoming_in_front=*/false);
+  }
   counters.over_ops += rect.area();
 }
 
-/// Band-parallel "own contribution" blend of a depth-order scalar stage:
-/// gather both strided progressions contiguous (per-worker staging), blend
-/// with the span kernel, scatter back — same arithmetic/order as the
-/// historical per-pixel loop, batched and banded.
-void composite_own_range(WorkerPool& pool, img::Image& result, const img::Image& image,
+/// "Own contribution" blend of a depth-order scalar stage: gather both
+/// strided progressions contiguous into scratch, blend with the span
+/// kernel, scatter back — same arithmetic/order as the historical per-pixel
+/// loop, batched.
+void composite_own_range(EngineScratch& scratch, img::Image& result, const img::Image& image,
                          const img::InterleavedRange& keep, Counters& counters) {
-  const int nworkers = pool.workers();
-  pool.run([&](int w) {
-    const ChunkBounds band = chunk_bounds(keep.count, nworkers, w);
-    if (band.count() == 0) return;
-    EngineScratch& scratch = pool.scratch(w);
-    const auto n = static_cast<std::size_t>(band.count());
-    if (scratch.staging.size() < n) scratch.staging.resize(n);
-    if (scratch.staging2.size() < n) scratch.staging2.resize(n);
-    const std::int64_t offset = keep.offset + band.first * keep.stride;
-    img::kern::gather_strided(result.pixels().data(), offset, keep.stride, band.count(),
-                              scratch.staging.data());
-    img::kern::gather_strided(image.pixels().data(), offset, keep.stride, band.count(),
-                              scratch.staging2.data());
-    img::kern::composite_span(scratch.staging.data(), scratch.staging2.data(), band.count(),
-                              /*incoming_in_front=*/false);
-    img::kern::scatter_strided(scratch.staging.data(), band.count(), result.pixels().data(),
-                               offset, keep.stride);
-  });
   counters.over_ops += keep.count;
-}
-
-/// SoA compact-and-blend of one BSLC stage: gather the kept element-space
-/// progression of `elems` contiguous into `dst` (the compaction) and, when a
-/// message arrived, blend its RLE payload over `dst` in place. Both steps
-/// band across the pool; each element's gather and blend arithmetic is
-/// exactly the legacy composite_rle_strided's, so the compacted array equals
-/// the frame values the in-place engine would hold at those positions.
-/// Returns the number of pixels composited (the non-blank payload total).
-std::int64_t soa_compact_blend(WorkerPool& pool, const img::Pixel* elems,
-                               const img::InterleavedRange& ekeep, const wire::RleView* view,
-                               bool incoming_in_front, std::vector<img::Pixel>& dst) {
-  dst.resize(static_cast<std::size_t>(ekeep.count));
-  if (ekeep.count == 0) return 0;
-  const int nworkers = pool.workers();
-  std::vector<img::kern::RleCursor> cursors(static_cast<std::size_t>(nworkers));
-  if (view != nullptr) {
-    img::kern::RleCursor cur;
-    std::int64_t at = 0;
-    for (int w = 0; w < nworkers; ++w) {
-      const ChunkBounds band = chunk_bounds(ekeep.count, nworkers, w);
-      img::kern::rle_skip(view->codes, view->ncodes, cur, band.first - at);
-      at = band.first;
-      cursors[static_cast<std::size_t>(w)] = cur;
-    }
-  }
-  std::vector<std::int64_t> composited(static_cast<std::size_t>(nworkers), 0);
-  pool.run([&](int w) {
-    const ChunkBounds band = chunk_bounds(ekeep.count, nworkers, w);
-    if (band.count() == 0) return;
-    img::kern::gather_strided(elems, ekeep.offset + band.first * ekeep.stride, ekeep.stride,
-                              band.count(), dst.data() + band.first);
-    if (view != nullptr) {
-      img::kern::RleCursor cur = cursors[static_cast<std::size_t>(w)];
-      // width == row_stride degenerates composite_rle_span to one contiguous
-      // span over dst — the SoA case.
-      composited[static_cast<std::size_t>(w)] = img::kern::composite_rle_span(
-          dst.data(), band.first, ekeep.count, ekeep.count, view->codes, view->ncodes,
-          view->pixels, cur, band.count(), incoming_in_front);
-    }
-  });
-  std::int64_t total = 0;
-  for (const std::int64_t c : composited) total += c;
-  return total;
+  if (keep.count == 0) return;
+  const auto n = static_cast<std::size_t>(keep.count);
+  if (scratch.staging.size() < n) scratch.staging.resize(n);
+  if (scratch.staging2.size() < n) scratch.staging2.resize(n);
+  img::kern::gather_strided(result.pixels().data(), keep.offset, keep.stride, keep.count,
+                            scratch.staging.data());
+  img::kern::gather_strided(image.pixels().data(), keep.offset, keep.stride, keep.count,
+                            scratch.staging2.data());
+  img::kern::composite_span(scratch.staging.data(), scratch.staging2.data(), keep.count,
+                            /*incoming_in_front=*/false);
+  img::kern::scatter_strided(scratch.staging.data(), keep.count, result.pixels().data(),
+                             keep.offset, keep.stride);
 }
 
 }  // namespace
@@ -175,8 +118,6 @@ Ownership plan_composite(const ExchangePlan& plan, const PayloadCodec& codec,
     throw std::invalid_argument("plan_composite: contiguous splits are scalar-only");
   }
 
-  WorkerPool& pool = engine.pool();
-
   img::Rect region = image.bounds();
   img::InterleavedRange range = img::InterleavedRange::whole(image.pixel_count());
   // Only sparse rect codecs carry a tracked rectangle (and pay its scan).
@@ -184,25 +125,7 @@ Ownership plan_composite(const ExchangePlan& plan, const PayloadCodec& codec,
   RegionTracker tracker(clip_parts ? tracker_kind : TrackerKind::kNone);
   if (clip_parts) tracker.init(image, counters);
 
-  img::PackBuffer& buf = pool.scratch(0).pack;
-
-  // BSLC SoA fast path (scalar, pairwise, fused, fanned out): keep the
-  // progression compacted contiguous in scratch between stages instead of
-  // strided across the whole frame. Encode reads one dense array; decode
-  // compacts and blends in one banded pass. The compaction pass touches
-  // every kept element (blank or not), which only pays off when its bands
-  // actually run in parallel — with a 1-wide pool the in-place strided walk
-  // touches strictly less memory, so SoA engages only for wider pools.
-  // `elems`/`ecount` track the compacted progression (initially the frame
-  // itself: offset 0, stride 1); `range` still tracks the frame-space
-  // ownership descriptor for the final scatter and the returned Ownership.
-  // Byte-identical wire bytes, counters and owned pixels — only where
-  // intermediates live changes.
-  const bool soa = scalar && plan.front == FrontRule::kSwapBit &&
-                   engine.config().fused_decode && pool.workers() > 1;
-  const img::Pixel* elems = image.pixels().data();
-  std::int64_t ecount = image.pixel_count();
-  std::vector<img::Pixel>* soa_buf = nullptr;  // null = `elems` is the frame
+  img::PackBuffer& buf = engine.scratch().pack;
 
   const int stages = plan.stages();
   for (int st = 0; st < stages; ++st) {
@@ -211,58 +134,6 @@ Ownership plan_composite(const ExchangePlan& plan, const PayloadCodec& codec,
     if (rs.sends.empty() && rs.recv_peers.empty()) continue;  // retired rank
     comm.set_stage(st + 1);
     const int tag = st + 1;
-
-    if (soa) {
-      // Element-space split: part j of {0,1,ecount} selects exactly the
-      // elements frame-space part j of `range` selects, because compaction
-      // preserved progression order.
-      const std::vector<img::InterleavedRange> eparts =
-          split_range_parts(img::InterleavedRange{0, 1, ecount}, rs.radix, plan.split);
-      for (const PartSend& ps : rs.sends) {
-        buf.clear();
-        const img::Rle rle = wire::encode_strided_base(
-            elems, eparts[static_cast<std::size_t>(ps.part)], counters);
-        counters.pixels_sent += rle.non_blank_count();
-        buf.reserve(buf.size() + static_cast<std::size_t>(rle.wire_bytes()));
-        wire::pack_rle(rle, buf);
-        comm.send(ps.peer, tag, buf.bytes());
-      }
-      if (rs.recv_peers.size() > 1) {
-        throw std::logic_error("plan_composite: kSwapBit stages receive from one peer");
-      }
-      if (rs.keep >= 0) {
-        const img::InterleavedRange ekeep = eparts[static_cast<std::size_t>(rs.keep)];
-        std::vector<img::Pixel>& dst = (soa_buf == &pool.scratch(0).soa_a)
-                                           ? pool.scratch(0).soa_b
-                                           : pool.scratch(0).soa_a;
-        if (rs.recv_peers.empty()) {
-          soa_compact_blend(pool, elems, ekeep, nullptr, false, dst);
-        } else {
-          const bool in_front = order.incoming_in_front(rank, st);
-          const auto received = comm.recv(rs.recv_peers.front(), tag);
-          img::UnpackBuffer in(received);
-          EngineScratch& s0 = pool.scratch(0);
-          const wire::RleView view =
-              wire::parse_rle_view(in, ekeep.count, s0.bounce, s0.code_bounce);
-          const std::int64_t composited =
-              soa_compact_blend(pool, elems, ekeep, &view, in_front, dst);
-          counters.over_ops += composited;
-          counters.pixels_received += composited;
-        }
-        elems = dst.data();
-        ecount = ekeep.count;
-        soa_buf = &dst;
-        range = split_range_parts(range, rs.radix, plan.split)[static_cast<std::size_t>(rs.keep)];
-      } else {
-        // Drained the receives above (none in practice: keep < 0 ranks only
-        // send); ownership collapses to the empty progression.
-        elems = nullptr;
-        ecount = 0;
-        range = img::InterleavedRange{0, 1, 0};
-      }
-      counters.mark_stage();
-      continue;
-    }
 
     std::vector<img::Rect> rparts;
     std::vector<img::InterleavedRange> sparts;
@@ -322,10 +193,10 @@ Ownership plan_composite(const ExchangePlan& plan, const PayloadCodec& codec,
       for (const int contributor : order.front_to_back) {
         if (contributor == rank) {
           if (scalar) {
-            composite_own_range(pool, result, image, sparts[static_cast<std::size_t>(rs.keep)],
+            composite_own_range(engine.scratch(), result, image, sparts[static_cast<std::size_t>(rs.keep)],
                                 counters);
           } else {
-            composite_own_rect(pool, result, image, keep_rect, counters);
+            composite_own_rect(result, image, keep_rect, counters);
           }
           ++composited;
           continue;
@@ -368,15 +239,6 @@ Ownership plan_composite(const ExchangePlan& plan, const PayloadCodec& codec,
     }
   }
   comm.set_stage(0);
-
-  // SoA epilogue: the owned progression lives compacted in scratch; scatter
-  // it to its frame-space positions so gather_final (which reads only the
-  // ownership range) sees the same pixels the in-place engine produces.
-  // Pixels outside the owned range are not restored — nothing reads them.
-  if (soa && soa_buf != nullptr) {
-    img::kern::scatter_strided(elems, ecount, image.pixels().data(), range.offset,
-                               range.stride);
-  }
 
   if (plan.split == SplitRule::kGather) return Ownership::full_at_root();
   if (scalar) return Ownership::interleaved(range);

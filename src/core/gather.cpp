@@ -2,8 +2,8 @@
 
 #include <cstdint>
 
+#include "core/engine_context.hpp"
 #include "core/wire.hpp"
-#include "core/worker_pool.hpp"
 #include "image/kernels.hpp"
 #include "image/pack.hpp"
 
@@ -11,7 +11,7 @@ namespace slspvr::core {
 
 Ownership Compositor::composite(mp::Comm& comm, img::Image& image, const SwapOrder& order,
                                 Counters& counters) const {
-  EngineContext engine;  // single worker, fused decode — the defaults
+  EngineContext engine;
   return composite(comm, image, order, counters, engine);
 }
 

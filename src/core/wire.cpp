@@ -15,10 +15,8 @@ namespace {
 /// Staging area for the BSLC strided gather/scatter kernels: interleaved
 /// progressions are gathered contiguous here so the batched
 /// classify/composite kernels can run over them, then scattered back. One
-/// arena per calling thread — with the tile-parallel engine that means one
-/// per pool worker, since each worker thread that reaches these legacy
-/// paths gets its own copy (the band-parallel streaming decoders use the
-/// explicit per-worker EngineScratch instead).
+/// arena per calling thread, i.e. per rank (the streaming decoders use the
+/// rank's explicit EngineScratch instead).
 std::vector<img::Pixel>& strided_scratch(std::int64_t count) {
   thread_local std::vector<img::Pixel> scratch;
   if (static_cast<std::int64_t>(scratch.size()) < count) {
@@ -79,15 +77,11 @@ img::Rle encode_rect(const img::Image& image, const img::Rect& rect, Counters& c
 
 img::Rle encode_strided(const img::Image& image, const img::InterleavedRange& range,
                         Counters& counters) {
-  return encode_strided_base(image.pixels().data(), range, counters);
-}
-
-img::Rle encode_strided_base(const img::Pixel* base, const img::InterleavedRange& range,
-                             Counters& counters) {
   // Gather the interleaved progression contiguous, then classify it with
   // the same batched kernel the rectangle path uses.
   std::vector<img::Pixel>& scratch = strided_scratch(range.count);
-  img::kern::gather_strided(base, range.offset, range.stride, range.count, scratch.data());
+  img::kern::gather_strided(image.pixels().data(), range.offset, range.stride, range.count,
+                            scratch.data());
   img::Rle rle;
   rle.length = range.count;
   img::kern::RunState state;

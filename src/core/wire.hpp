@@ -1,6 +1,10 @@
 // Wire helpers shared by the binary-swap family: packing raw rectangles,
 // run-length encoded rectangles, and run-length encoded interleaved ranges
 // into send buffers, and compositing them back out of receive buffers.
+// The unpack-then-blend functions (unpack_composite_*, composite_rle_*) are
+// the reference decoders: the codecs' streaming decode_*_into paths are
+// tested byte-for-byte against them, and Fold's pre-stage uses
+// unpack_composite_rle_rect directly.
 #pragma once
 
 #include <cstdint>
@@ -33,15 +37,6 @@ void unpack_composite_rect(img::Image& image, const img::Rect& rect, img::Unpack
 [[nodiscard]] img::Rle encode_strided(const img::Image& image,
                                       const img::InterleavedRange& range,
                                       Counters& counters);
-
-/// Same, over a raw pixel array instead of a frame — the BSLC SoA engine
-/// keeps its progression compacted in scratch between stages and encodes
-/// parts of it in element space. Identical sequence values mean identical
-/// codes, payload and counters, so the wire bytes match the frame-based
-/// encode exactly.
-[[nodiscard]] img::Rle encode_strided_base(const img::Pixel* base,
-                                           const img::InterleavedRange& range,
-                                           Counters& counters);
 
 /// Append an Rle to `buf`: codes then pixels, no header — the decoder knows
 /// the expected sequence length, so wire bytes are exactly
@@ -104,8 +99,8 @@ void pack_span_rect(const img::Image& image, const img::Rect& rect, img::PackBuf
                                                    const img::Rect& bounds,
                                                    bool incoming_in_front, Counters& counters);
 
-// ---- streaming views (fused decode→composite path) -----------------------
-// The fused decoders blend straight out of the receive buffer, so instead of
+// ---- streaming views (decode→composite) ----------------------------------
+// The codec decoders blend straight out of the receive buffer, so instead of
 // materializing img::Rle / img::SpanImage (allocating and copying codes and
 // pixels) they take zero-copy *views* of the payload. Validation is the same
 // as the materializing parsers — truncation, overshooting code totals and

@@ -135,16 +135,6 @@ SLSPVR_SCALAR_REF void rle_classify_span_scalar(const Pixel* row, std::int64_t n
   }
 }
 
-SLSPVR_SCALAR_REF void gather_strided_scalar(const Pixel* base, std::int64_t offset, std::int64_t stride,
-                           std::int64_t count, Pixel* out) noexcept {
-  for (std::int64_t i = 0; i < count; ++i) out[i] = base[offset + i * stride];
-}
-
-SLSPVR_SCALAR_REF void scatter_strided_scalar(const Pixel* src, std::int64_t count, Pixel* base,
-                            std::int64_t offset, std::int64_t stride) noexcept {
-  for (std::int64_t i = 0; i < count; ++i) base[offset + i * stride] = src[i];
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -310,46 +300,6 @@ SLSPVR_TARGET_AVX2 void rle_classify_span_avx2(const Pixel* row, std::int64_t n,
   }
 }
 
-SLSPVR_TARGET_AVX2 void gather_strided_avx2(const Pixel* base, std::int64_t offset,
-                                            std::int64_t stride, std::int64_t count,
-                                            Pixel* out) noexcept {
-  const auto* src = reinterpret_cast<const __m128i*>(base);
-  auto* dst = reinterpret_cast<__m128i*>(out);
-  std::int64_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const std::int64_t k = offset + i * stride;
-    const __m128i p0 = _mm_loadu_si128(src + k);
-    const __m128i p1 = _mm_loadu_si128(src + k + stride);
-    const __m128i p2 = _mm_loadu_si128(src + k + 2 * stride);
-    const __m128i p3 = _mm_loadu_si128(src + k + 3 * stride);
-    _mm_storeu_si128(dst + i, p0);
-    _mm_storeu_si128(dst + i + 1, p1);
-    _mm_storeu_si128(dst + i + 2, p2);
-    _mm_storeu_si128(dst + i + 3, p3);
-  }
-  for (; i < count; ++i) out[i] = base[offset + i * stride];
-}
-
-SLSPVR_TARGET_AVX2 void scatter_strided_avx2(const Pixel* src, std::int64_t count,
-                                             Pixel* base, std::int64_t offset,
-                                             std::int64_t stride) noexcept {
-  const auto* in = reinterpret_cast<const __m128i*>(src);
-  auto* dst = reinterpret_cast<__m128i*>(base);
-  std::int64_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const std::int64_t k = offset + i * stride;
-    const __m128i p0 = _mm_loadu_si128(in + i);
-    const __m128i p1 = _mm_loadu_si128(in + i + 1);
-    const __m128i p2 = _mm_loadu_si128(in + i + 2);
-    const __m128i p3 = _mm_loadu_si128(in + i + 3);
-    _mm_storeu_si128(dst + k, p0);
-    _mm_storeu_si128(dst + k + stride, p1);
-    _mm_storeu_si128(dst + k + 2 * stride, p2);
-    _mm_storeu_si128(dst + k + 3 * stride, p3);
-  }
-  for (; i < count; ++i) base[offset + i * stride] = src[i];
-}
-
 }  // namespace
 
 #endif  // SLSPVR_KERNELS_X86
@@ -395,34 +345,28 @@ void rle_classify_span(const Pixel* row, std::int64_t n, RunState& state, Rle& o
 
 void rle_classify_flush(RunState& state, Rle& out) { detail::emit_run(out.codes, state.run); }
 
-void gather_strided(const Pixel* base, std::int64_t offset, std::int64_t stride,
-                    std::int64_t count, Pixel* out) noexcept {
+// The strided copies have one body: a 4x16 B unrolled AVX2 copy measured
+// 0.91-1.01x of these loops (docs/performance.md), so there is nothing to
+// dispatch. They keep the scalar reference's codegen they were measured with.
+
+SLSPVR_SCALAR_REF void gather_strided(const Pixel* base, std::int64_t offset, std::int64_t stride,
+                                      std::int64_t count, Pixel* out) noexcept {
+  if (count <= 0) return;  // an empty staging vector's data() may be null
   if (stride == 1) {
     std::memcpy(out, base + offset, static_cast<std::size_t>(count) * sizeof(Pixel));
     return;
   }
-#if defined(SLSPVR_KERNELS_X86)
-  if (active_isa() == Isa::kAvx2) {
-    gather_strided_avx2(base, offset, stride, count, out);
-    return;
-  }
-#endif
-  gather_strided_scalar(base, offset, stride, count, out);
+  for (std::int64_t i = 0; i < count; ++i) out[i] = base[offset + i * stride];
 }
 
-void scatter_strided(const Pixel* src, std::int64_t count, Pixel* base, std::int64_t offset,
-                     std::int64_t stride) noexcept {
+SLSPVR_SCALAR_REF void scatter_strided(const Pixel* src, std::int64_t count, Pixel* base,
+                                       std::int64_t offset, std::int64_t stride) noexcept {
+  if (count <= 0) return;
   if (stride == 1) {
     std::memcpy(base + offset, src, static_cast<std::size_t>(count) * sizeof(Pixel));
     return;
   }
-#if defined(SLSPVR_KERNELS_X86)
-  if (active_isa() == Isa::kAvx2) {
-    scatter_strided_avx2(src, count, base, offset, stride);
-    return;
-  }
-#endif
-  scatter_strided_scalar(src, count, base, offset, stride);
+  for (std::int64_t i = 0; i < count; ++i) base[offset + i * stride] = src[i];
 }
 
 void fill_zero(Pixel* dst, std::int64_t n) noexcept {
@@ -433,61 +377,9 @@ void fill_zero(Pixel* dst, std::int64_t n) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Fused wire→frame kernels. The run/span walk is control logic shared by
-// both ISAs; every pixel touch goes through the dispatched composite_span,
-// so the scalar-oracle contract is inherited rather than duplicated.
-
-void rle_skip(const std::uint16_t* codes, std::size_t ncodes, RleCursor& cur,
-              std::int64_t n) noexcept {
-  while (n > 0) {
-    if (cur.run_left == 0) {
-      if (cur.code >= ncodes) return;  // caller validated totals; stop short
-      cur.run_left = codes[cur.code++];
-      cur.blank = !cur.blank;  // alternation starts blank (kMaxRun escapes
-      continue;                // are zero-length runs and just flip twice)
-    }
-    const std::int64_t take = n < cur.run_left ? n : cur.run_left;
-    if (!cur.blank) cur.pixel += take;
-    n -= take;
-    cur.run_left -= take;
-  }
-}
-
-std::int64_t composite_rle_span(Pixel* base, std::int64_t pos, std::int64_t width,
-                                std::int64_t row_stride, const std::uint16_t* codes,
-                                std::size_t ncodes, const Pixel* pixels, RleCursor& cur,
-                                std::int64_t n, bool incoming_in_front) {
-  std::int64_t composited = 0;
-  while (n > 0) {
-    if (cur.run_left == 0) {
-      if (cur.code >= ncodes) break;
-      cur.run_left = codes[cur.code++];
-      cur.blank = !cur.blank;
-      continue;
-    }
-    const std::int64_t take = n < cur.run_left ? n : cur.run_left;
-    if (!cur.blank) {
-      // Whole runs at a time, split only where the run crosses a grid row.
-      const Pixel* src = pixels + cur.pixel;
-      std::int64_t left = take;
-      std::int64_t p = pos;
-      while (left > 0) {
-        const std::int64_t x = p % width;
-        const std::int64_t chunk = left < width - x ? left : width - x;
-        composite_span(base + (p / width) * row_stride + x, src, chunk, incoming_in_front);
-        p += chunk;
-        src += chunk;
-        left -= chunk;
-      }
-      cur.pixel += take;
-      composited += take;
-    }
-    pos += take;
-    n -= take;
-    cur.run_left -= take;
-  }
-  return composited;
-}
+// Fused wire→frame kernel. The span walk is control logic shared by both
+// ISAs; every pixel touch goes through the dispatched composite_span, so
+// the scalar-oracle contract is inherited rather than duplicated.
 
 std::int64_t composite_span_rows(Pixel* top_left, std::int64_t row_stride,
                                  const std::uint16_t* row_counts, std::int64_t rows,

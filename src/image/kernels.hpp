@@ -4,8 +4,9 @@
 // encoder, and strided gather/scatter for the BSLC interleaved progression.
 //
 // Once BSBR/BSLC/BSBRC have minimized compositing *traffic*, these local
-// loops dominate a frame (the Distributed FrameBuffer observation). Each
-// kernel therefore has two implementations selected at run time:
+// loops dominate a frame (the Distributed FrameBuffer observation). The
+// kernels whose vector body pays off have two implementations selected at
+// run time (the strided gather/scatter and the span-row walk have one):
 //
 //  * a portable scalar reference — the oracle, semantically identical to the
 //    historical one-pixel-at-a-time loops;
@@ -100,7 +101,8 @@ void rle_classify_span(const Pixel* row, std::int64_t n, RunState& state, Rle& o
 void rle_classify_flush(RunState& state, Rle& out);
 
 // ---------------------------------------------------------------------------
-// 4. Strided gather/scatter for the BSLC interleaved pack path.
+// 4. Strided gather/scatter for the BSLC interleaved pack path. One body on
+//    every ISA: an unrolled AVX2 copy measured no faster.
 
 /// out[i] = base[offset + i*stride] for i in [0, count).
 void gather_strided(const Pixel* base, std::int64_t offset, std::int64_t stride,
@@ -115,44 +117,17 @@ void scatter_strided(const Pixel* src, std::int64_t count, Pixel* base,
 void fill_zero(Pixel* dst, std::int64_t n) noexcept;
 
 // ---------------------------------------------------------------------------
-// 6. Fused wire→frame kernels: blend straight out of an RLE / span payload
-//    still sitting in the receive buffer, instead of materializing the
-//    unpacked intermediate (img::Rle / img::SpanImage) first. The per-pixel
-//    arithmetic delegates to the dispatched composite_span above, so the
-//    SLSPVR_SCALAR_KERNELS / force_scalar_kernels contract and the byte-
-//    identity guarantee carry over unchanged — fused vs unpack+blend differ
-//    only in memory traffic, never in results.
-
-/// Resumable position inside a wire RLE code/payload sequence, so row bands
-/// of one message can be blended by different workers: band j's cursor is
-/// derived by rle_skip-ing to the band's first sequence element (runs —
-/// including kMaxRun escape chains — straddle band boundaries freely).
-/// Start every walk from a default-constructed cursor.
-struct RleCursor {
-  std::size_t code = 0;       ///< next code index
-  std::int64_t run_left = 0;  ///< remainder of the currently open run
-  bool blank = false;         ///< kind of the open run (pre-first-code state)
-  std::int64_t pixel = 0;     ///< payload pixels consumed so far
-};
-
-/// Advance `cur` by `n` sequence elements without blending (band prescan).
-void rle_skip(const std::uint16_t* codes, std::size_t ncodes, RleCursor& cur,
-              std::int64_t n) noexcept;
-
-/// Blend `n` sequence elements starting at `cur`, laid over a row-major
-/// grid: sequence element p (global position, pass the band's start) lands
-/// at base[(p / width) * row_stride + p % width]. width == row_stride
-/// degenerates to one contiguous span (the BSLC SoA case). Only non-blank
-/// run pixels are composited; returns how many were.
-std::int64_t composite_rle_span(Pixel* base, std::int64_t pos, std::int64_t width,
-                                std::int64_t row_stride, const std::uint16_t* codes,
-                                std::size_t ncodes, const Pixel* pixels, RleCursor& cur,
-                                std::int64_t n, bool incoming_in_front);
+// 6. Fused wire→frame kernel: blend straight out of a span payload still
+//    sitting in the receive buffer, instead of materializing the unpacked
+//    img::SpanImage first. The per-pixel arithmetic delegates to the
+//    dispatched composite_span above, so the SLSPVR_SCALAR_KERNELS /
+//    force_scalar_kernels contract and the byte-identity guarantee carry
+//    over unchanged.
 
 /// Blend `rows` scanline-span rows straight from wire arrays: row r has
-/// row_counts[r] spans; spans/pixels must be pre-offset to the first span /
-/// payload pixel of row 0 (band prescan does the prefix sums). Row r starts
-/// at top_left + r * row_stride. Returns the number of pixels composited.
+/// row_counts[r] spans, taken in order from `spans` and their payload from
+/// `pixels`. Row r starts at top_left + r * row_stride. Returns the number
+/// of pixels composited.
 std::int64_t composite_span_rows(Pixel* top_left, std::int64_t row_stride,
                                  const std::uint16_t* row_counts, std::int64_t rows,
                                  const Span* spans, const Pixel* pixels,

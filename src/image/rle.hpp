@@ -10,6 +10,7 @@
 // a zero-length run of the opposite kind, preserving alternation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -91,22 +92,29 @@ void rle_for_each_non_blank(const Rle& rle, Visit&& visit) {
 
 /// Walk whole non-blank *runs*: calls `visit(start_index, length, pixels)`
 /// once per non-empty foreground run, with `pixels` pointing at `length`
-/// consecutive entries of rle.pixels. The batched form of
-/// rle_for_each_non_blank — receivers hand each run to the span kernels
-/// instead of compositing pixel by pixel.
+/// consecutive payload entries. The batched form of rle_for_each_non_blank
+/// — receivers hand each run to the span kernels instead of compositing
+/// pixel by pixel. This overload walks raw code/payload arrays, so a wire
+/// view still sitting in the receive buffer needs no unpacked Rle.
 template <typename VisitRun>
-void rle_for_each_non_blank_run(const Rle& rle, VisitRun&& visit) {
+void rle_for_each_non_blank_run(const std::uint16_t* codes, std::size_t ncodes,
+                                const Pixel* pixels, VisitRun&& visit) {
   std::int64_t pos = 0;
-  std::size_t pix = 0;
   bool blank = true;
-  for (const std::uint16_t code : rle.codes) {
+  for (std::size_t i = 0; i < ncodes; ++i) {
+    const std::uint16_t code = codes[i];
     if (!blank && code > 0) {
-      visit(pos, static_cast<std::int64_t>(code), rle.pixels.data() + pix);
-      pix += code;
+      visit(pos, static_cast<std::int64_t>(code), pixels);
+      pixels += code;
     }
     pos += code;
     blank = !blank;
   }
+}
+
+template <typename VisitRun>
+void rle_for_each_non_blank_run(const Rle& rle, VisitRun&& visit) {
+  rle_for_each_non_blank_run(rle.codes.data(), rle.codes.size(), rle.pixels.data(), visit);
 }
 
 /// Structural validation: codes sum to length, pixel count matches

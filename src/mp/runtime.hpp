@@ -1,12 +1,11 @@
 // Runtime: spawns P "processor" threads and runs an SPMD function on each.
 //
 // Runtime::run is the substitute for `mpirun -np P`: it creates the shared
-// communicator context, launches one PE thread per rank (each rank's engine
-// may additionally fan work across its own WorkerPool — see
-// core/worker_pool.hpp — but the SPMD function itself runs on exactly one
-// thread per rank), executes the user function SPMD-style, joins all
-// threads, propagates the first exception, and hands back the traffic trace
-// for cost-model evaluation.
+// communicator context, launches one PE thread per rank (the SPMD function,
+// engine included, runs on exactly that one thread — one processing element
+// per rank, as in the paper), executes the user function SPMD-style, joins
+// all threads, propagates the first exception, and hands back the traffic
+// trace for cost-model evaluation.
 #pragma once
 
 #include <chrono>

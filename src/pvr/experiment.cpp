@@ -91,8 +91,8 @@ img::Image Experiment::reference() const {
 MethodResult run_compositing(const core::Compositor& method,
                              const std::vector<img::Image>& subimages,
                              const core::SwapOrder& order, const core::CostModel& model,
-                             const core::EngineConfig& engine, core::EngineArena* arena) {
-  core::EngineArena local_arena(engine);
+                             core::EngineArena* arena) {
+  core::EngineArena local_arena;
   if (arena == nullptr) arena = &local_arena;
   Attempt attempt = run_attempt(method, subimages, order, model, {}, nullptr, arena);
   // Preserve the historical contract: a rank failure in the plain entry
@@ -143,9 +143,9 @@ FtMethodResult run_compositing_ft(const core::Compositor& method,
                                   const std::vector<img::Image>& subimages,
                                   const core::SwapOrder& order, const mp::FaultPlan& faults,
                                   const core::CostModel& model,
-                                  const core::EngineConfig& engine, core::EngineArena* arena) {
+                                  core::EngineArena* arena) {
   const int ranks = static_cast<int>(subimages.size());
-  core::EngineArena local_arena(engine);
+  core::EngineArena local_arena;
   if (arena == nullptr) arena = &local_arena;
   FtMethodResult out;
 
@@ -182,15 +182,14 @@ FtMethodResult Experiment::run_ft(const core::Compositor& method,
   const core::FoldCompositor folded(method);
   const core::Compositor* compositor = folded_ ? static_cast<const core::Compositor*>(&folded)
                                                : &method;
-  return run_compositing_ft(*compositor, subimages_, order_, faults, config_.cost_model,
-                            config_.engine);
+  return run_compositing_ft(*compositor, subimages_, order_, faults, config_.cost_model);
 }
 
 MethodResult Experiment::run(const core::Compositor& method) const {
   const core::FoldCompositor folded(method);
   const core::Compositor* compositor = folded_ ? static_cast<const core::Compositor*>(&folded)
                                                : &method;
-  return run_compositing(*compositor, subimages_, order_, config_.cost_model, config_.engine);
+  return run_compositing(*compositor, subimages_, order_, config_.cost_model);
 }
 
 std::vector<std::unique_ptr<core::Compositor>> MethodSet::paper_methods() {

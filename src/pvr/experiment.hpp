@@ -17,9 +17,9 @@
 
 #include "core/compositor.hpp"
 #include "core/cost_model.hpp"
+#include "core/engine_context.hpp"
 #include "core/timeline.hpp"
 #include "core/order.hpp"
-#include "core/worker_pool.hpp"
 #include "mp/fault.hpp"
 #include "mp/runtime.hpp"
 #include "volume/datasets.hpp"
@@ -44,10 +44,6 @@ struct ExperimentConfig {
   bool distributed_partitioning = false;
   float step = 1.0f;                ///< ray sampling step (voxels)
   core::CostModel cost_model = core::CostModel::sp2();
-  /// Per-frame engine knobs (intra-rank workers, fused decode) — threaded
-  /// explicitly into every compositing run; there is no process-global
-  /// engine state to set.
-  core::EngineConfig engine;
 };
 
 /// One observed failure during a fault-tolerant run. Ranks are reported in
@@ -171,14 +167,13 @@ class Experiment {
 /// Run one compositing method SPMD over externally supplied subimages (no
 /// rendering phase) — the workhorse behind Experiment::run, also used
 /// directly by the ablation benches and property tests. `final_image` is
-/// gathered at rank 0. `engine` carries the per-frame engine knobs; a
-/// non-null `arena` supplies pooled per-rank contexts (FrameService reuses
-/// one arena across a session's frames) and overrides `engine`.
+/// gathered at rank 0. A non-null `arena` supplies pooled per-rank engine
+/// contexts (FrameService reuses one arena across a session's frames);
+/// otherwise the run uses a one-shot arena.
 [[nodiscard]] MethodResult run_compositing(const core::Compositor& method,
                                            const std::vector<img::Image>& subimages,
                                            const core::SwapOrder& order,
                                            const core::CostModel& model = core::CostModel::sp2(),
-                                           const core::EngineConfig& engine = {},
                                            core::EngineArena* arena = nullptr);
 
 /// Fault-tolerant workhorse: execute `method` under `faults` (injected
@@ -190,8 +185,7 @@ class Experiment {
 [[nodiscard]] FtMethodResult run_compositing_ft(
     const core::Compositor& method, const std::vector<img::Image>& subimages,
     const core::SwapOrder& order, const mp::FaultPlan& faults,
-    const core::CostModel& model = core::CostModel::sp2(),
-    const core::EngineConfig& engine = {}, core::EngineArena* arena = nullptr);
+    const core::CostModel& model = core::CostModel::sp2(), core::EngineArena* arena = nullptr);
 
 /// All four of the paper's methods, in Table 1 column order.
 struct MethodSet {

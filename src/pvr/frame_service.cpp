@@ -70,10 +70,13 @@ int FrameService::add_session(const SessionConfig& config, const core::Composito
   if (config.image_size < 1) {
     throw std::invalid_argument("FrameService: session image_size must be >= 1");
   }
+  // Build the session (and its volume) before taking the lock, so
+  // executors serving other sessions are not held up by make_dataset.
+  auto session = std::make_unique<Session>(config, method);
   std::lock_guard<std::mutex> lock(mutex_);
-  const int id = static_cast<int>(sessions_.size());
-  sessions_.push_back(std::make_unique<Session>(id, config, method));
-  return id;
+  session->id = static_cast<int>(sessions_.size());
+  sessions_.push_back(std::move(session));
+  return sessions_.back()->id;
 }
 
 std::optional<std::future<FrameResult>> FrameService::submit(int session,
@@ -188,8 +191,9 @@ FrameResult FrameService::execute(Session& session, Pending pending) {
   out.session = session.id;
   out.id = pending.id;
 
-  // Rendered-subimage cache: rebuilt only when the camera moves (open-loop
-  // traffic with a fixed camera pays the render cost once per session).
+  // Rendered-subimage cache: rebuilt from the session's volume only when
+  // the camera moves (open-loop traffic with a fixed camera pays the render
+  // cost once per session, and no frame regenerates the volume).
   if (session.cached == nullptr || session.cached_rot_x != pending.request.rot_x_deg ||
       session.cached_rot_y != pending.request.rot_y_deg) {
     ExperimentConfig config;
@@ -200,8 +204,7 @@ FrameResult FrameService::execute(Session& session, Pending pending) {
     config.rot_x_deg = pending.request.rot_x_deg;
     config.rot_y_deg = pending.request.rot_y_deg;
     config.cost_model = session.config.cost_model;
-    config.engine = session.config.engine;
-    session.cached = std::make_unique<Experiment>(config);
+    session.cached = std::make_unique<Experiment>(session.dataset, config);
     session.cached_rot_x = pending.request.rot_x_deg;
     session.cached_rot_y = pending.request.rot_y_deg;
   }
@@ -212,7 +215,7 @@ FrameResult FrameService::execute(Session& session, Pending pending) {
       experiment.folded() ? static_cast<const core::Compositor&>(folded) : *session.method;
   FtMethodResult ft = run_compositing_ft(method, experiment.subimages(), experiment.order(),
                                          pending.request.faults, session.config.cost_model,
-                                         session.config.engine, &session.arena);
+                                         &session.arena);
 
   const auto finished = std::chrono::steady_clock::now();
   out.status = FrameStatus::kDone;

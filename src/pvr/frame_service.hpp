@@ -1,9 +1,10 @@
 // FrameService: a multi-session frame scheduler over the shared in-process
 // rank pool.
 //
-// N client sessions each describe a (volume, method, image size, ranks,
-// engine knobs) quintuple once; frame requests then carry only the per-frame
-// state (camera angles + optional fault plan). The service interleaves the
+// N client sessions each describe a (volume, method, image size, ranks)
+// quadruple once; frame requests then carry only the per-frame state
+// (camera angles + optional fault plan). A session builds its volume once;
+// a camera move re-renders the subimages from it. The service interleaves the
 // sessions' frames across a bounded executor:
 //
 //  * admission is bounded twice — a per-session pending-queue depth and a
@@ -25,9 +26,8 @@
 //    sessions' frames are untouched, byte-identical to a fault-free run.
 //
 // This is the subsystem the explicit EngineContext refactor unblocks: with
-// engine state process-global, two concurrent frames would have raced on
-// the workers/fused knobs and the per-thread scratch; with per-session
-// arenas they compose.
+// engine scratch process-global, two concurrent frames would have raced on
+// it; with per-session arenas they compose.
 #pragma once
 
 #include <condition_variable>
@@ -43,7 +43,7 @@
 
 #include "core/compositor.hpp"
 #include "core/cost_model.hpp"
-#include "core/worker_pool.hpp"
+#include "core/engine_context.hpp"
 #include "mp/fault.hpp"
 #include "pvr/experiment.hpp"
 
@@ -56,7 +56,6 @@ struct SessionConfig {
   double volume_scale = 0.25;
   int image_size = 96;
   int ranks = 4;
-  core::EngineConfig engine;  ///< per-session engine knobs (workers, fused)
   core::CostModel cost_model = core::CostModel::sp2();
 };
 
@@ -143,12 +142,17 @@ class FrameService {
     core::EngineArena arena;
     std::deque<Pending> queue;
     bool in_flight = false;
+    /// The session's volume, built once; camera moves render from it.
+    vol::Dataset dataset;
     /// Rendered subimages cache: rebuilt only when the camera moves.
     std::unique_ptr<Experiment> cached;
     float cached_rot_x = 0.0f, cached_rot_y = 0.0f;
 
-    Session(int session_id, const SessionConfig& c, const core::Compositor& m)
-        : id(session_id), config(c), method(&m), arena(c.engine, c.ranks) {}
+    Session(const SessionConfig& c, const core::Compositor& m)
+        : config(c),
+          method(&m),
+          arena(c.ranks),
+          dataset(vol::make_dataset(c.dataset, c.volume_scale)) {}
   };
 
   void executor_loop();

@@ -11,9 +11,9 @@
 #include <utility>
 
 #include "core/engine.hpp"
+#include "core/engine_context.hpp"
 #include "core/fold.hpp"
 #include "core/reference.hpp"
-#include "core/worker_pool.hpp"
 #include "core/timeline.hpp"
 #include "mp/communicator.hpp"
 #include "mp/socket.hpp"
@@ -141,9 +141,7 @@ int worker_main(int rank, const mp::Endpoint& endpoint, const core::Compositor& 
     sock->start();
 
     // This process IS one rank: one explicit engine context for its frame.
-    core::EngineConfig econfig;
-    if (opts.workers_per_rank > 0) econfig.workers_per_rank = opts.workers_per_rank;
-    core::EngineContext engine(econfig);
+    core::EngineContext engine;
 
     SnapshotStore store(ranks);
     mp::Comm comm(&ctx, rank);
@@ -410,9 +408,7 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
 
     // One explicit engine context for this rank, reused across the whole
     // frame sequence — scratch warms up on frame 0 and stays hot.
-    core::EngineConfig econfig;
-    if (opts.proc.workers_per_rank > 0) econfig.workers_per_rank = opts.proc.workers_per_rank;
-    core::EngineContext engine(econfig);
+    core::EngineContext engine;
 
     const int ranks = base.ranks;
     const core::FoldCompositor folded_method(method);

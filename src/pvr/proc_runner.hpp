@@ -61,10 +61,6 @@ struct ProcOptions {
   /// Bounded worker inbox: a full mailbox blocks the reader thread, pushing
   /// backpressure into the kernel socket buffers (0 = unbounded).
   std::size_t inbox_capacity = 1024;
-  /// Intra-rank engine workers for each forked worker's EngineContext
-  /// (0 = single worker; there is no process-global to inherit — each
-  /// worker builds its own explicit context from this value).
-  int workers_per_rank = 0;
   std::optional<ProcCrash> crash;
   /// Tests: listen/connect here instead of the generated address
   /// ("unix:/path" or "tcp:host:port").

@@ -26,7 +26,7 @@
 #include "core/compositor.hpp"
 #include "core/cost_model.hpp"
 #include "core/engine.hpp"
-#include "core/worker_pool.hpp"
+#include "core/engine_context.hpp"
 #include "mp/runtime.hpp"
 #include "pvr/experiment.hpp"
 
@@ -89,7 +89,7 @@ struct Attempt {
 /// either rethrow or fold the failed ranks out and retry. With a non-null
 /// `store`, every rank retains per-stage partials for mid-frame repair.
 /// Rank r composites with `arena->context(r)`; a null arena gets a one-shot
-/// default arena (single worker, fused decode) for this attempt. The arena
+/// arena for this attempt. The arena
 /// is grown on the calling thread before any rank thread spawns.
 [[nodiscard]] Attempt run_attempt(const core::Compositor& method,
                                   const std::vector<img::Image>& subimages,
@@ -104,7 +104,7 @@ struct Attempt {
 /// retries, failed_ranks, pixels_lost and the resume/degrade verdict.
 /// Always runs in-process (threads) over the caller's subimages. Recovery
 /// rounds draw per-rank engine contexts from `arena` when one is supplied
-/// (survivor rank i uses context i), else from per-round default arenas.
+/// (survivor rank i uses context i), else from per-round one-shot arenas.
 [[nodiscard]] FtMethodResult recover_frame(const core::Compositor& method,
                                            const std::vector<img::Image>& subimages,
                                            const core::SwapOrder& order,

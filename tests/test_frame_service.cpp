@@ -1,13 +1,11 @@
 // The explicit engine context and the FrameService built on it.
 //
 // The headline regression here is ConcurrentFramesShareNothing: two frames
-// compositing concurrently in ONE process, with *different* engine knobs
-// (worker fan-out, fused vs legacy decode). Under the old process-global
-// engine state (set_workers_per_rank / set_fused_decode / per-thread scratch
-// keyed by rank id) this raced — the second frame's knob writes bled into
-// the first frame's decode path mid-flight, and TSan flagged the scratch
-// aliasing. With EngineConfig/EngineContext threaded explicitly the frames
-// share nothing, and the suite runs TSan-clean.
+// compositing concurrently in ONE process, each on its own engine contexts.
+// Under the old process-global engine state (per-thread scratch keyed by
+// rank id) this raced, and TSan flagged the scratch aliasing. With an
+// EngineContext threaded explicitly the frames share nothing, and the suite
+// runs TSan-clean.
 //
 // The FrameService tests then cover what the refactor unblocks: bounded
 // admission (reject-new and shed-oldest), round-robin interleaving of N
@@ -28,7 +26,7 @@
 #include "core/binary_swap.hpp"
 #include "core/bsbrc.hpp"
 #include "core/bslc.hpp"
-#include "core/worker_pool.hpp"
+#include "core/engine_context.hpp"
 #include "mp/fault.hpp"
 #include "pvr/experiment.hpp"
 #include "pvr/frame_service.hpp"
@@ -43,13 +41,6 @@ using slspvr::testing::make_default_order;
 using slspvr::testing::make_subimages;
 
 namespace {
-
-core::EngineConfig engine_config(int workers, bool fused) {
-  core::EngineConfig config;
-  config.workers_per_rank = workers;
-  config.fused_decode = fused;
-  return config;
-}
 
 void expect_bytes_identical(const img::Image& got, const img::Image& want) {
   ASSERT_EQ(got.width(), want.width());
@@ -88,12 +79,11 @@ TEST(EngineContext, ScratchFrameTracksRequestedDims) {
   }
 }
 
-// THE regression test for the process-global engine state: two frames
-// composite concurrently in one process with different knobs. Before the
-// EngineConfig/EngineContext refactor the knobs were process globals and the
-// scratch was shared per rank id, so these two frames raced (and TSan
-// failed); now each frame threads its own context and both must be
-// byte-identical to their serial references.
+// THE regression test for the process-global engine state: two frames of
+// different methods and sizes composite concurrently in one process. Before
+// the EngineContext refactor the scratch was shared per rank id, so these
+// two frames raced (and TSan failed); now each frame threads its own
+// contexts and both must be byte-identical to their serial references.
 TEST(ConcurrentFrames, ConcurrentFramesShareNothing) {
   const core::BsbrcCompositor bsbrc;
   const core::BslcCompositor bslc;
@@ -102,12 +92,8 @@ TEST(ConcurrentFrames, ConcurrentFramesShareNothing) {
   const auto subimages_b = make_subimages(4, 64, 56, 0.5, 202);
 
   // Serial references, computed before any concurrency.
-  const core::EngineConfig config_a = engine_config(2, true);
-  const core::EngineConfig config_b = engine_config(1, false);
-  const pvr::MethodResult ref_a =
-      pvr::run_compositing(bsbrc, subimages_a, order, core::CostModel::sp2(), config_a);
-  const pvr::MethodResult ref_b =
-      pvr::run_compositing(bslc, subimages_b, order, core::CostModel::sp2(), config_b);
+  const pvr::MethodResult ref_a = pvr::run_compositing(bsbrc, subimages_a, order);
+  const pvr::MethodResult ref_b = pvr::run_compositing(bslc, subimages_b, order);
 
   constexpr int kIters = 4;
   std::atomic<bool> go{false};
@@ -117,16 +103,14 @@ TEST(ConcurrentFrames, ConcurrentFramesShareNothing) {
     while (!go.load(std::memory_order_acquire)) {}
     for (int i = 0; i < kIters; ++i) {
       frames_a[static_cast<std::size_t>(i)] =
-          pvr::run_compositing(bsbrc, subimages_a, order, core::CostModel::sp2(), config_a)
-              .final_image;
+          pvr::run_compositing(bsbrc, subimages_a, order).final_image;
     }
   });
   std::thread worker_b([&] {
     while (!go.load(std::memory_order_acquire)) {}
     for (int i = 0; i < kIters; ++i) {
       frames_b[static_cast<std::size_t>(i)] =
-          pvr::run_compositing(bslc, subimages_b, order, core::CostModel::sp2(), config_b)
-              .final_image;
+          pvr::run_compositing(bslc, subimages_b, order).final_image;
     }
   });
   go.store(true, std::memory_order_release);
@@ -150,9 +134,9 @@ TEST(EngineArena, TrimReleasesTheLargerFramesBuffers) {
   const auto big = make_subimages(2, 768, 768, 0.35, 7);
   const auto small = make_subimages(2, 384, 384, 0.35, 8);
 
-  core::EngineArena arena(engine_config(2, true), 2);
+  core::EngineArena arena(2);
   const pvr::MethodResult big_result =
-      pvr::run_compositing(bsbrc, big, order, core::CostModel::sp2(), {}, &arena);
+      pvr::run_compositing(bsbrc, big, order, core::CostModel::sp2(), &arena);
   const std::size_t bytes_after_big = arena.scratch_bytes();
   ASSERT_GT(bytes_after_big, 0u);
 
@@ -160,10 +144,9 @@ TEST(EngineArena, TrimReleasesTheLargerFramesBuffers) {
   const std::size_t bytes_after_trim = arena.scratch_bytes();
   EXPECT_LT(bytes_after_trim, bytes_after_big);
 
-  const pvr::MethodResult fresh =
-      pvr::run_compositing(bsbrc, small, order, core::CostModel::sp2(), engine_config(2, true));
+  const pvr::MethodResult fresh = pvr::run_compositing(bsbrc, small, order);
   const pvr::MethodResult reused =
-      pvr::run_compositing(bsbrc, small, order, core::CostModel::sp2(), {}, &arena);
+      pvr::run_compositing(bsbrc, small, order, core::CostModel::sp2(), &arena);
   expect_bytes_identical(reused.final_image, fresh.final_image);
 
   // After the small frame the pool must still be sized for small frames: a
@@ -214,10 +197,13 @@ TEST(FrameService, InterleavesSessionsAndMatchesSerialReferences) {
   service_config.queue_depth = 8;
   pvr::FrameService service(service_config);
 
+  // Each session alternates two views, so its cached subimages are
+  // re-rendered from the session's volume on every frame, and every frame
+  // must equal the serial reference for its own view.
   struct State {
     int id;
-    pvr::FrameRequest request;
-    img::Image reference;
+    pvr::FrameRequest requests[2];
+    img::Image references[2];
   };
   std::vector<State> states;
   for (int s = 0; s < 3; ++s) {
@@ -225,31 +211,37 @@ TEST(FrameService, InterleavesSessionsAndMatchesSerialReferences) {
         small_session("s" + std::to_string(s), datasets[s]);
     State state;
     state.id = service.add_session(config, *methods[s]);
-    state.request.rot_x_deg = 10.0f + 8.0f * static_cast<float>(s);
-    state.request.rot_y_deg = 20.0f + 6.0f * static_cast<float>(s);
-    state.reference = serial_reference(config, *methods[s], state.request.rot_x_deg,
-                                       state.request.rot_y_deg);
+    for (int v = 0; v < 2; ++v) {
+      pvr::FrameRequest& request = state.requests[v];
+      request.rot_x_deg = 10.0f + 8.0f * static_cast<float>(s) + 30.0f * static_cast<float>(v);
+      request.rot_y_deg = 20.0f + 6.0f * static_cast<float>(s) - 15.0f * static_cast<float>(v);
+      state.references[v] =
+          serial_reference(config, *methods[s], request.rot_x_deg, request.rot_y_deg);
+    }
     states.push_back(std::move(state));
   }
 
-  constexpr int kFrames = 3;
-  std::vector<std::future<pvr::FrameResult>> futures;
+  constexpr int kFrames = 4;
+  struct Submitted {
+    std::future<pvr::FrameResult> future;
+    const img::Image* reference;
+  };
+  std::vector<Submitted> submitted;
   for (int f = 0; f < kFrames; ++f) {
     for (State& state : states) {
-      auto future = service.submit(state.id, state.request);
+      auto future = service.submit(state.id, state.requests[f % 2]);
       ASSERT_TRUE(future.has_value());
-      futures.push_back(std::move(*future));
+      submitted.push_back({std::move(*future), &state.references[f % 2]});
     }
   }
   service.drain();
 
-  for (std::future<pvr::FrameResult>& future : futures) {
-    pvr::FrameResult frame = future.get();
+  for (Submitted& sub : submitted) {
+    pvr::FrameResult frame = sub.future.get();
     ASSERT_EQ(frame.status, pvr::FrameStatus::kDone);
     EXPECT_FALSE(frame.report.faulted);
     EXPECT_GE(frame.latency_ms, frame.run_ms);
-    expect_bytes_identical(frame.image,
-                           states[static_cast<std::size_t>(frame.session)].reference);
+    expect_bytes_identical(frame.image, *sub.reference);
   }
   const pvr::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(3 * kFrames));

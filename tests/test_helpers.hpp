@@ -11,9 +11,9 @@
 
 #include "core/compositor.hpp"
 #include "core/cost_model.hpp"
+#include "core/engine_context.hpp"
 #include "core/order.hpp"
 #include "core/reference.hpp"
-#include "core/worker_pool.hpp"
 #include "mp/runtime.hpp"
 #include "pvr/synthetic.hpp"
 
@@ -57,23 +57,24 @@ struct SpmdResult {
   mp::RunResult run;
 };
 
-/// Execute `method` SPMD over `subimages` and gather at rank 0. `engine`
-/// carries the per-rank engine knobs (workers, fused decode); each rank
-/// composites with its own context from a run-local arena.
+/// Execute `method` SPMD over `subimages` and gather at rank 0. Each rank
+/// composites with its own context from `arena` (a run-local one when
+/// null), so a caller can reuse one arena across runs.
 inline SpmdResult run_method(const core::Compositor& method,
                              const std::vector<img::Image>& subimages,
-                             const core::SwapOrder& order,
-                             const core::EngineConfig& engine = {}) {
+                             const core::SwapOrder& order, core::EngineArena* arena = nullptr) {
   const int ranks = static_cast<int>(subimages.size());
   std::vector<core::Counters> per_rank(static_cast<std::size_t>(ranks));
   std::vector<core::Ownership> ownerships(static_cast<std::size_t>(ranks));
-  core::EngineArena arena(engine, ranks);
+  core::EngineArena local_arena;
+  core::EngineArena& engines = arena != nullptr ? *arena : local_arena;
+  engines.require(ranks);
   img::Image final_image;
   auto run = mp::Runtime::run(ranks, [&](mp::Comm& comm) {
     img::Image local = subimages[static_cast<std::size_t>(comm.rank())];
     const core::Ownership owned =
         method.composite(comm, local, order, per_rank[static_cast<std::size_t>(comm.rank())],
-                         arena.context(comm.rank()));
+                         engines.context(comm.rank()));
     ownerships[static_cast<std::size_t>(comm.rank())] = owned;
     img::Image gathered = core::gather_final(comm, local, owned, 0);
     if (comm.rank() == 0) final_image = std::move(gathered);

@@ -49,24 +49,6 @@ TEST(RenderCli, ParsePositiveIntIsStrict) {
   EXPECT_THROW((void)tools::parse_positive_int("99999999999", "--procs"), tools::ParseError);
 }
 
-TEST(RenderCli, ParseWorkersPerRankIsStrict) {
-  EXPECT_EQ(tools::parse_workers_per_rank("1"), 1);
-  EXPECT_EQ(tools::parse_workers_per_rank("4"), 4);
-  EXPECT_EQ(tools::parse_workers_per_rank("256"), 256);
-  // Whole-token grammar: no signs, spaces, suffixes or empty values.
-  EXPECT_THROW((void)tools::parse_workers_per_rank(""), tools::ParseError);
-  EXPECT_THROW((void)tools::parse_workers_per_rank("0"), tools::ParseError);
-  EXPECT_THROW((void)tools::parse_workers_per_rank("-2"), tools::ParseError);
-  EXPECT_THROW((void)tools::parse_workers_per_rank("+2"), tools::ParseError);
-  EXPECT_THROW((void)tools::parse_workers_per_rank(" 2"), tools::ParseError);
-  EXPECT_THROW((void)tools::parse_workers_per_rank("2 "), tools::ParseError);
-  EXPECT_THROW((void)tools::parse_workers_per_rank("2x"), tools::ParseError);
-  EXPECT_THROW((void)tools::parse_workers_per_rank("4,4"), tools::ParseError);
-  // Sanity cap: pool sizes past kMaxWorkersPerRank are rejected, not spawned.
-  EXPECT_THROW((void)tools::parse_workers_per_rank("257"), tools::ParseError);
-  EXPECT_THROW((void)tools::parse_workers_per_rank("99999999999"), tools::ParseError);
-}
-
 TEST(RenderCli, ParseRankStageIsStrict) {
   const tools::RankStage rs = tools::parse_rank_stage("2,1", "--proc-kill");
   EXPECT_EQ(rs.rank, 2);

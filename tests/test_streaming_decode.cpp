@@ -1,14 +1,13 @@
-// Streaming decode→composite identity: decode_rect_into / decode_range_into
-// blend straight out of the receive buffer and promise *byte*-identical
-// frames and identical counters to the legacy unpack-then-blend decoders —
-// for every codec, every part width (including empty and the 0..33 sweep
-// that crosses every vector-kernel remainder case), any worker fan-out, and
-// RLE runs that straddle both kMaxRun escape chains and band boundaries.
-// Engine knobs (workers-per-rank, fused decode) are explicit EngineContext
-// state here — there are no process globals to twiddle or restore.
-// The suite closes with whole-frame identity of the tile-parallel engine:
-// every paper method at P ∈ {2,4,8} must gather the same bytes for
-// workers-per-rank ∈ {1,2,3}, fused or legacy decode.
+// Streaming decode→composite identity: each codec's one decode,
+// decode_rect_into / decode_range_into, blends straight out of the receive
+// buffer and promises *byte*-identical frames and identical counters to the
+// wire-level unpack-then-blend reference decoders (wire::unpack_composite_*,
+// wire::composite_rle_strided) — for every codec, every part width
+// (including empty and the 0..33 sweep that crosses every vector-kernel
+// remainder case), both front orders, and RLE runs long enough to need
+// kMaxRun escape chains. The suite closes with whole-frame identity of a
+// reused engine arena: stale scratch from earlier frames must never leak
+// into a later frame's bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,8 +24,9 @@
 #include "core/bslc.hpp"
 #include "core/codec.hpp"
 #include "core/direct_send.hpp"
+#include "core/engine_context.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/worker_pool.hpp"
+#include "core/wire.hpp"
 #include "test_helpers.hpp"
 
 namespace core = slspvr::core;
@@ -38,14 +38,7 @@ using slspvr::testing::run_method;
 
 namespace {
 
-core::EngineConfig engine_config(int workers, bool fused) {
-  core::EngineConfig config;
-  config.workers_per_rank = workers;
-  config.fused_decode = fused;
-  return config;
-}
-
-/// Byte-exact frame comparison (the fused paths promise identity, not
+/// Byte-exact frame comparison (the decode paths promise identity, not
 /// tolerance), with a first-differing-pixel report on failure.
 void expect_bytes_identical(const img::Image& got, const img::Image& want) {
   ASSERT_EQ(got.width(), want.width());
@@ -65,74 +58,105 @@ void expect_bytes_identical(const img::Image& got, const img::Image& want) {
   }
 }
 
-/// Encode `part` of a random source, then decode it twice into copies of the
-/// same random destination — legacy decode_rect vs streaming
-/// decode_rect_into through `engine` — and require identical bytes, covered
-/// rect, and counters.
-void check_rect_codec_identity(core::CodecKind kind, int width, core::EngineContext& engine,
-                               bool in_front) {
+/// The wire-level reference decode for a rect codec's message.
+img::Rect oracle_decode_rect(core::CodecKind kind, img::Image& image, const img::Rect& part,
+                             img::UnpackBuffer& in, bool in_front, core::Counters& counters) {
+  namespace wire = core::wire;
+  switch (kind) {
+    case core::CodecKind::kFullPixel:
+      wire::unpack_composite_rect(image, part, in, in_front, counters);
+      return part;
+    case core::CodecKind::kBoundingRect:
+      return wire::unpack_composite_raw_rect(image, in, image.bounds(), in_front, counters);
+    case core::CodecKind::kRleRect:
+      return wire::unpack_composite_rle_rect(image, in, image.bounds(), in_front, counters);
+    case core::CodecKind::kSpanRect:
+      return wire::unpack_composite_span_rect(image, in, image.bounds(), in_front, counters);
+    case core::CodecKind::kInterleavedRle:
+      break;
+  }
+  ADD_FAILURE() << "no rect oracle for " << core::codec_name(kind);
+  return img::kEmptyRect;
+}
+
+/// Decode one encoded rect message into copies of the same destination —
+/// the wire-level reference vs the codec's decode_rect_into — and require
+/// identical bytes, covered rect, and counters.
+void expect_rect_decode_matches_oracle(core::CodecKind kind, const img::PackBuffer& buf,
+                                       const img::Image& base, const img::Rect& part,
+                                       bool in_front) {
+  img::Image want = base;
+  core::Counters want_counters;
+  img::UnpackBuffer want_in(buf.bytes());
+  const img::Rect want_rect =
+      oracle_decode_rect(kind, want, part, want_in, in_front, want_counters);
+
+  core::EngineContext engine;
+  img::Image got = base;
+  core::Counters got_counters;
+  img::UnpackBuffer got_in(buf.bytes());
+  core::DecodeSink sink{got, in_front, got_counters, engine};
+  const img::Rect got_rect = core::codec_for(kind).decode_rect_into(sink, part, got_in);
+
+  EXPECT_EQ(got_rect, want_rect);
+  expect_bytes_identical(got, want);
+  EXPECT_EQ(got_counters.totals(), want_counters.totals());
+}
+
+/// The scalar twin: parse_rle + composite_rle_strided vs decode_range_into.
+void expect_range_decode_matches_oracle(const img::PackBuffer& buf, const img::Image& base,
+                                        const img::InterleavedRange& part, bool in_front) {
+  img::Image want = base;
+  core::Counters want_counters;
+  img::UnpackBuffer want_in(buf.bytes());
+  const img::Rle incoming = core::wire::parse_rle(want_in, part.count);
+  core::wire::composite_rle_strided(want, part, incoming, in_front, want_counters);
+
+  core::EngineContext engine;
+  img::Image got = base;
+  core::Counters got_counters;
+  img::UnpackBuffer got_in(buf.bytes());
+  core::DecodeSink sink{got, in_front, got_counters, engine};
+  core::codec_for(core::CodecKind::kInterleavedRle).decode_range_into(sink, part, got_in);
+
+  expect_bytes_identical(got, want);
+  EXPECT_EQ(got_counters.totals(), want_counters.totals());
+}
+
+/// Encode `part` of a random source and check the decode of it into a
+/// random destination against the reference.
+void check_rect_codec_identity(core::CodecKind kind, int width, bool in_front) {
   constexpr int kHeight = 7;
   const auto seed = static_cast<std::uint32_t>(100 * static_cast<int>(kind) + width);
   const img::Image source = pvr::random_subimage(40, kHeight, 0.45, 77 + seed);
   const img::Image base = pvr::random_subimage(40, kHeight, 0.60, 900 + seed);
   const img::Rect part{3, 0, 3 + width, kHeight};
-  const core::PayloadCodec& codec = core::codec_for(kind);
 
   img::PackBuffer buf;
   core::Counters encode_counters;
-  codec.encode_rect(source, part, part, buf, encode_counters);
-
-  img::Image legacy = base;
-  core::Counters legacy_counters;
-  img::UnpackBuffer legacy_in(buf.bytes());
-  const img::Rect legacy_rect =
-      codec.decode_rect(legacy, part, legacy_in, in_front, legacy_counters);
-
-  img::Image fused = base;
-  core::Counters fused_counters;
-  img::UnpackBuffer fused_in(buf.bytes());
-  core::DecodeSink sink{fused, in_front, fused_counters, engine};
-  const img::Rect fused_rect = codec.decode_rect_into(sink, part, fused_in);
-
-  EXPECT_EQ(fused_rect, legacy_rect);
-  expect_bytes_identical(fused, legacy);
-  EXPECT_EQ(fused_counters.totals(), legacy_counters.totals());
+  core::codec_for(kind).encode_rect(source, part, part, buf, encode_counters);
+  expect_rect_decode_matches_oracle(kind, buf, base, part, in_front);
 }
 
 /// The scalar-codec twin: an interleaved progression of `count` elements at
 /// `stride` through a shared source/destination pair.
-void check_scalar_codec_identity(std::int64_t count, std::int64_t stride,
-                                 core::EngineContext& engine, bool in_front) {
+void check_scalar_codec_identity(std::int64_t count, std::int64_t stride, bool in_front) {
   const auto seed = static_cast<std::uint32_t>(17 * count + stride);
   const img::Image source = pvr::random_subimage(16, 12, 0.45, 31 + seed);
   const img::Image base = pvr::random_subimage(16, 12, 0.60, 500 + seed);
   const img::InterleavedRange part{1, stride, count};
   ASSERT_LE(part.index(count > 0 ? count - 1 : 0), source.pixel_count() - 1);
-  const core::PayloadCodec& codec = core::codec_for(core::CodecKind::kInterleavedRle);
 
   img::PackBuffer buf;
   core::Counters encode_counters;
-  codec.encode_range(source, part, buf, encode_counters);
-
-  img::Image legacy = base;
-  core::Counters legacy_counters;
-  img::UnpackBuffer legacy_in(buf.bytes());
-  codec.decode_range(legacy, part, legacy_in, in_front, legacy_counters);
-
-  img::Image fused = base;
-  core::Counters fused_counters;
-  img::UnpackBuffer fused_in(buf.bytes());
-  core::DecodeSink sink{fused, in_front, fused_counters, engine};
-  codec.decode_range_into(sink, part, fused_in);
-
-  expect_bytes_identical(fused, legacy);
-  EXPECT_EQ(fused_counters.totals(), legacy_counters.totals());
+  core::codec_for(core::CodecKind::kInterleavedRle).encode_range(source, part, buf,
+                                                                 encode_counters);
+  expect_range_decode_matches_oracle(buf, base, part, in_front);
 }
 
 /// An image whose row-major RLE has one blank and one non-blank run, both
 /// longer than kern::kMaxRun (65535) — so the wire stream carries zero-length
-/// escape codes, and any band partition of a multi-worker decode lands
-/// boundaries inside both escape chains.
+/// escape codes inside both runs.
 img::Image long_run_image(int width, int height, int blank_rows, int solid_rows) {
   img::Image image(width, height);
   for (int y = blank_rows; y < blank_rows + solid_rows; ++y) {
@@ -149,8 +173,6 @@ img::Image long_run_image(int width, int height, int blank_rows, int solid_rows)
 }  // namespace
 
 TEST(StreamingDecode, RectCodecsMatchLegacyAtEveryWidth) {
-  core::EngineContext single(engine_config(1, true));
-  core::EngineContext banded(engine_config(3, true));
   for (const core::CodecKind kind :
        {core::CodecKind::kFullPixel, core::CodecKind::kBoundingRect,
         core::CodecKind::kRleRect, core::CodecKind::kSpanRect}) {
@@ -158,104 +180,56 @@ TEST(StreamingDecode, RectCodecsMatchLegacyAtEveryWidth) {
       for (const bool in_front : {false, true}) {
         SCOPED_TRACE(std::string(core::codec_name(kind)) + " width " +
                      std::to_string(width) + (in_front ? " front" : " back"));
-        check_rect_codec_identity(kind, width, single, in_front);
-        check_rect_codec_identity(kind, width, banded, in_front);
+        check_rect_codec_identity(kind, width, in_front);
       }
     }
   }
 }
 
 TEST(StreamingDecode, ScalarCodecMatchesLegacyAtEveryLength) {
-  core::EngineContext single(engine_config(1, true));
-  core::EngineContext banded(engine_config(3, true));
   for (const std::int64_t stride : {1, 2, 5}) {
     for (std::int64_t count = 0; count <= 33; ++count) {
       for (const bool in_front : {false, true}) {
         SCOPED_TRACE("stride " + std::to_string(stride) + " count " + std::to_string(count) +
                      (in_front ? " front" : " back"));
-        check_scalar_codec_identity(count, stride, single, in_front);
-        check_scalar_codec_identity(count, stride, banded, in_front);
+        check_scalar_codec_identity(count, stride, in_front);
       }
     }
   }
 }
 
-// Runs longer than kMaxRun force zero-length escape codes into the stream;
-// with a 3-wide pool over a 400x400 part the band boundaries (ceil thirds of
-// 160000 elements) fall inside both the blank chain (68000 blanks, escape at
-// 65535) and the non-blank chain (80000 pixels, escape at element 133535) —
-// rle_skip must resume mid-chain without desynchronizing code/pixel cursors.
-TEST(StreamingDecode, RunsStraddleKMaxRunAndBandBoundaries) {
-  core::EngineContext engine(engine_config(3, true));
+// Runs longer than kMaxRun force zero-length escape codes into the stream:
+// over a 400x400 part the blank chain (68000 blanks, escape at 65535) and
+// the non-blank chain (80000 pixels, escape at element 133535) both split,
+// and the non-blank run crosses 200 rectangle rows. The decode must keep
+// its code and payload cursors in step across every escape.
+TEST(StreamingDecode, RunsStraddleKMaxRunEscapes) {
   const img::Image source = long_run_image(400, 400, /*blank_rows=*/170, /*solid_rows=*/200);
   const img::Image base = pvr::random_subimage(400, 400, 0.5, 4242);
   const img::Rect part{0, 0, 400, 400};
+  const img::InterleavedRange whole = img::InterleavedRange::whole(source.pixel_count());
 
+  img::PackBuffer rect_buf;
+  img::PackBuffer range_buf;
+  core::Counters encode_counters;
+  core::codec_for(core::CodecKind::kRleRect).encode_rect(source, part, part, rect_buf,
+                                                         encode_counters);
+  core::codec_for(core::CodecKind::kInterleavedRle).encode_range(source, whole, range_buf,
+                                                                 encode_counters);
   for (const bool in_front : {false, true}) {
     SCOPED_TRACE(in_front ? "front" : "back");
-    {
-      const core::PayloadCodec& codec = core::codec_for(core::CodecKind::kRleRect);
-      img::PackBuffer buf;
-      core::Counters encode_counters;
-      codec.encode_rect(source, part, part, buf, encode_counters);
-
-      img::Image legacy = base;
-      core::Counters legacy_counters;
-      img::UnpackBuffer legacy_in(buf.bytes());
-      codec.decode_rect(legacy, part, legacy_in, in_front, legacy_counters);
-
-      img::Image fused = base;
-      core::Counters fused_counters;
-      img::UnpackBuffer fused_in(buf.bytes());
-      core::DecodeSink sink{fused, in_front, fused_counters, engine};
-      codec.decode_rect_into(sink, part, fused_in);
-
-      expect_bytes_identical(fused, legacy);
-      EXPECT_EQ(fused_counters.totals(), legacy_counters.totals());
-    }
-    {
-      const core::PayloadCodec& codec = core::codec_for(core::CodecKind::kInterleavedRle);
-      const img::InterleavedRange whole = img::InterleavedRange::whole(source.pixel_count());
-      img::PackBuffer buf;
-      core::Counters encode_counters;
-      codec.encode_range(source, whole, buf, encode_counters);
-
-      img::Image legacy = base;
-      core::Counters legacy_counters;
-      img::UnpackBuffer legacy_in(buf.bytes());
-      codec.decode_range(legacy, whole, legacy_in, in_front, legacy_counters);
-
-      img::Image fused = base;
-      core::Counters fused_counters;
-      img::UnpackBuffer fused_in(buf.bytes());
-      core::DecodeSink sink{fused, in_front, fused_counters, engine};
-      codec.decode_range_into(sink, whole, fused_in);
-
-      expect_bytes_identical(fused, legacy);
-      EXPECT_EQ(fused_counters.totals(), legacy_counters.totals());
-    }
+    expect_rect_decode_matches_oracle(core::CodecKind::kRleRect, rect_buf, base, part,
+                                      in_front);
+    expect_range_decode_matches_oracle(range_buf, base, whole, in_front);
   }
 }
 
-// An EngineConfig with fused_decode = false must route every decode_*_into
-// call through the legacy decoders verbatim (that is what slspvr-perf
-// benchmarks against).
-TEST(StreamingDecode, FusedOffFallsBackToLegacyByteIdentically) {
-  core::EngineContext engine(engine_config(2, false));
-  for (const core::CodecKind kind :
-       {core::CodecKind::kFullPixel, core::CodecKind::kBoundingRect,
-        core::CodecKind::kRleRect, core::CodecKind::kSpanRect}) {
-    SCOPED_TRACE(core::codec_name(kind));
-    check_rect_codec_identity(kind, 21, engine, true);
-  }
-  check_scalar_codec_identity(29, 3, engine, true);
-}
-
-// Whole-frame identity: for every paper method, the gathered frame and the
-// per-rank op totals must be byte-for-byte independent of the intra-rank
-// worker fan-out and of fused vs legacy decode. The reference is the
-// historical engine (1 worker, unfused); everything else must match it.
-TEST(StreamingDecode, WholeFrameIdenticalAcrossWorkersAndFusedDecode) {
+// Whole-frame identity on a reused arena: FrameService and the resident
+// --procs workers keep one engine context per rank across frames, so a
+// frame composited on warm scratch (left over from other methods, rank
+// counts and frame sizes) must gather the same bytes and per-rank op
+// totals as the same frame on a fresh arena.
+TEST(StreamingDecode, WholeFrameIdenticalOnAReusedArena) {
   struct MethodCase {
     std::string name;
     std::unique_ptr<core::Compositor> method;
@@ -271,33 +245,23 @@ TEST(StreamingDecode, WholeFrameIdenticalAcrossWorkersAndFusedDecode) {
   methods.push_back({"DirectSend-sparse", std::make_unique<core::DirectSendCompositor>(true)});
   methods.push_back({"Pipeline", std::make_unique<core::ParallelPipelineCompositor>()});
 
-  struct Config {
-    int workers;
-    bool fused;
-  };
-  const std::vector<Config> configs = {{1, true}, {2, true}, {3, true}, {3, false}};
-
+  core::EngineArena reused;
   for (const MethodCase& mc : methods) {
-    for (const int ranks : {2, 4, 8}) {
+    for (const int ranks : {8, 2, 4}) {
       int levels = 0;
       while ((1 << levels) < ranks) ++levels;
-      const auto subimages = make_subimages(ranks, 48, 36, 0.4,
+      const int width = ranks == 4 ? 40 : 48;
+      const auto subimages = make_subimages(ranks, width, 36, 0.4,
                                             static_cast<std::uint32_t>(7 * ranks + 1));
       const core::SwapOrder order = make_default_order(levels);
 
-      const auto reference = run_method(*mc.method, subimages, order, engine_config(1, false));
-
-      for (const Config& cfg : configs) {
-        SCOPED_TRACE(mc.name + " P" + std::to_string(ranks) + " workers " +
-                     std::to_string(cfg.workers) + (cfg.fused ? " fused" : " legacy"));
-        const auto got =
-            run_method(*mc.method, subimages, order, engine_config(cfg.workers, cfg.fused));
-        expect_bytes_identical(got.final_image, reference.final_image);
-        ASSERT_EQ(got.per_rank.size(), reference.per_rank.size());
-        for (std::size_t r = 0; r < got.per_rank.size(); ++r) {
-          EXPECT_EQ(got.per_rank[r].totals(), reference.per_rank[r].totals())
-              << "rank " << r;
-        }
+      SCOPED_TRACE(mc.name + " P" + std::to_string(ranks));
+      const auto fresh = run_method(*mc.method, subimages, order);
+      const auto warm = run_method(*mc.method, subimages, order, &reused);
+      expect_bytes_identical(warm.final_image, fresh.final_image);
+      ASSERT_EQ(warm.per_rank.size(), fresh.per_rank.size());
+      for (std::size_t r = 0; r < warm.per_rank.size(); ++r) {
+        EXPECT_EQ(warm.per_rank[r].totals(), fresh.per_rank[r].totals()) << "rank " << r;
       }
     }
   }

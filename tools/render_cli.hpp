@@ -82,21 +82,6 @@ struct ParseError : std::runtime_error {
   return value;
 }
 
-/// Strict --workers-per-rank parse: a whole-token positive integer (same
-/// grammar as parse_positive_int) with a sanity cap — a three-digit-plus
-/// worker fan-out per rank is always a typo, and the pool would happily
-/// spawn it.
-inline constexpr int kMaxWorkersPerRank = 256;
-
-[[nodiscard]] inline int parse_workers_per_rank(const std::string& token) {
-  const int value = parse_positive_int(token, "--workers-per-rank");
-  if (value > kMaxWorkersPerRank) {
-    throw ParseError("--workers-per-rank: '" + token + "' exceeds the sanity cap of " +
-                     std::to_string(kMaxWorkersPerRank));
-  }
-  return value;
-}
-
 /// Strict non-negative-integer parse (same whole-token grammar as
 /// parse_positive_int, but 0 is allowed — e.g. --respawn-max 0 means
 /// "demote on first death").

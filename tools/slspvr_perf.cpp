@@ -2,8 +2,8 @@
 //
 // Two sections, both run at the paper's 384^2 / 768^2 image sizes:
 //
-//  * kernels — op rates of the four hot-path kernels (over-blend span,
-//    bounding-rect blank scan, RLE run classification, strided gather),
+//  * kernels — op rates of the three hot-path kernels with a vector body
+//    (over-blend span, bounding-rect blank scan, RLE run classification),
 //    measured once with the vector dispatch and once pinned to the scalar
 //    oracle, so the JSON records the speedup the SIMD paths actually
 //    deliver on this machine;
@@ -15,17 +15,10 @@
 //    must be byte-identical; any divergence makes the tool exit non-zero,
 //    which is what the CI perf-smoke step asserts.
 //
-//  * workers — BSBRC and BSLC end-to-end at 1/2/4 intra-rank workers
-//    (EngineConfig::workers_per_rank) at the smallest rank count, recording
-//    the tile-parallel engine's scaling (on a machine with fewer cores than
-//    ranks × workers this measures oversubscription overhead instead);
-//    every frame must be byte-identical to the 1-worker frame;
-//
-//  * fused — the streaming decode→composite path vs the historical
-//    unpack-then-blend (EngineConfig::fused_decode), timed where fusion
-//    lives: decoding one captured BSBRC/BSLC wire message on a single
-//    thread, with interleaved reps. Full fused and unfused runs must still
-//    produce byte-identical frames (part of the exit-code gate).
+// The committed BENCH_8.json also holds two sections this tool no longer
+// produces — 1/2/4 intra-rank workers and fused vs unpack-then-blend
+// decode — as the record of why each rank now runs one single-lane, fused
+// engine path.
 //
 // A separate mode, --traffic, exercises the FrameService under open-loop
 // synthetic arrivals: N concurrent sessions (distinct methods/cameras) are
@@ -44,7 +37,6 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <future>
 #include <iostream>
 #include <memory>
@@ -55,11 +47,8 @@
 
 #include "core/binary_swap.hpp"
 #include "core/bsbrc.hpp"
-#include "core/codec.hpp"
 #include "core/bslc.hpp"
-#include "core/engine.hpp"
 #include "core/wire.hpp"
-#include "core/worker_pool.hpp"
 #include "image/image.hpp"
 #include "image/kernels.hpp"
 #include "pvr/experiment.hpp"
@@ -80,7 +69,6 @@ struct PerfOptions {
   bool out_given = false;
   std::vector<int> sizes = {384, 768};
   std::vector<int> ranks = {2, 4, 8};
-  std::vector<int> workers = {1, 2, 4};
   double density = 0.3;
   int reps = 7;
   // --traffic mode (FrameService under open-loop arrivals).
@@ -93,11 +81,10 @@ struct PerfOptions {
 
 [[noreturn]] void usage(int code) {
   std::cout << "slspvr-perf [--smoke] [--out <path>] [--sizes <csv>] [--ranks <csv>]\n"
-               "            [--workers <csv>] [--density <f>] [--reps <n>]\n"
-               "Runs the kernel, end-to-end method, worker fan-out and fused-decode\n"
-               "benchmarks and writes machine-readable JSON. Exits non-zero if the\n"
-               "scalar/vector kernel paths, any worker count, or the fused and\n"
-               "legacy decode paths ever produce different frames.\n"
+               "            [--density <f>] [--reps <n>]\n"
+               "Runs the kernel and end-to-end method benchmarks and writes\n"
+               "machine-readable JSON. Exits non-zero if the scalar and vector\n"
+               "kernel paths ever produce different frames.\n"
                "\n"
                "slspvr-perf --traffic [--smoke] [--sessions <n>] [--frames <n>]\n"
                "            [--period-ms <f>] [--p99-bound-ms <f>] [--out <path>]\n"
@@ -170,8 +157,6 @@ PerfOptions parse_args(int argc, char** argv) {
       opt.sizes = parse_int_csv(next());
     } else if (arg == "--ranks") {
       opt.ranks = parse_int_csv(next());
-    } else if (arg == "--workers") {
-      opt.workers = parse_int_csv(next());
     } else if (arg == "--density") {
       opt.density = std::atof(next().c_str());
     } else if (arg == "--reps") {
@@ -186,7 +171,6 @@ PerfOptions parse_args(int argc, char** argv) {
   if (opt.smoke) {
     opt.sizes = {384};
     opt.ranks = {2, 4};
-    opt.workers = {1, 2};
     opt.reps = 3;
     opt.frames = 6;  // sessions stay >= 3: the gate needs real concurrency
   }
@@ -273,14 +257,6 @@ std::vector<KernelRow> run_kernel_benches(const PerfOptions& opt) {
                                   g_sink = g_sink + core::wire::encode_rect(sparse, rect, counters)
                                                         .non_blank_count();
                                 }));
-
-    const img::InterleavedRange range{0, 4, pixels / 4};
-    std::vector<img::Pixel> gathered(static_cast<std::size_t>(range.count));
-    rows.push_back(bench_kernel("gather_strided", size, range.count, opt.reps, [&] {
-      kern::gather_strided(sparse.pixels().data(), range.offset, range.stride, range.count,
-                           gathered.data());
-      g_sink = g_sink + static_cast<std::int64_t>(gathered.back().a);
-    }));
   }
   return rows;
 }
@@ -347,197 +323,6 @@ std::vector<MethodRow> run_method_benches(const PerfOptions& opt, bool& diverged
                   << (row.identical ? "" : "  [MISMATCH]") << "\n";
         rows.push_back(row);
       }
-    }
-  }
-  return rows;
-}
-
-/// The two sparse binary-swap methods the tile-parallel engine targets.
-std::vector<std::unique_ptr<core::Compositor>> sparse_methods() {
-  std::vector<std::unique_ptr<core::Compositor>> methods;
-  methods.push_back(std::make_unique<core::BsbrcCompositor>());
-  methods.push_back(std::make_unique<core::BslcCompositor>());
-  return methods;
-}
-
-struct WorkerRow {
-  std::string method;
-  int ranks = 0;
-  int size = 0;
-  int workers = 0;
-  double wall_ms = 0.0;
-  bool identical = false;  ///< frame byte-equal to the 1-worker frame
-};
-
-std::vector<WorkerRow> run_worker_benches(const PerfOptions& opt, bool& diverged) {
-  std::vector<WorkerRow> rows;
-  const auto methods = sparse_methods();
-  // Smallest rank count: the worker fan-out competes with the rank threads
-  // for cores, so P is kept minimal to give the intra-rank pool headroom
-  // (at P = ranks.back() on a small machine the sweep would only measure
-  // oversubscription overhead).
-  const int ranks = opt.ranks.front();
-  const int levels = std::countr_zero(static_cast<unsigned>(ranks));
-  for (const int size : opt.sizes) {
-    const auto subimages = pvr::make_subimages(ranks, size, size, opt.density);
-    const auto order = core::make_uniform_order(levels);
-    for (const auto& method : methods) {
-      const pvr::MethodResult ref = pvr::run_compositing(*method, subimages, order);
-      for (const int workers : opt.workers) {
-        core::EngineConfig engine;
-        engine.workers_per_rank = workers;
-        WorkerRow row;
-        row.method = std::string(method->name());
-        row.ranks = ranks;
-        row.size = size;
-        row.workers = workers;
-        pvr::MethodResult res =
-            pvr::run_compositing(*method, subimages, order, core::CostModel::sp2(), engine);
-        row.wall_ms = time_best_ms(opt.reps, [&] {
-          res = pvr::run_compositing(*method, subimages, order, core::CostModel::sp2(), engine);
-        });
-        row.identical = res.final_image == ref.final_image;
-        if (!row.identical) {
-          diverged = true;
-          std::cerr << "DIVERGENCE: " << row.method << " P=" << ranks << " @" << size
-                    << "^2 workers=" << workers
-                    << " — frame differs from the 1-worker frame\n";
-        }
-        std::cout << "  " << row.method << " P=" << ranks << " @" << size
-                  << "^2 workers=" << workers << ": wall " << row.wall_ms << " ms"
-                  << (row.identical ? "" : "  [MISMATCH]") << "\n";
-        rows.push_back(row);
-      }
-    }
-  }
-  return rows;
-}
-
-struct FusedRow {
-  std::string method;
-  int ranks = 0;
-  int size = 0;
-  double fused_ms = 0.0;
-  double unfused_ms = 0.0;
-  bool identical = false;
-};
-
-/// Fused vs unpack+blend, measured where fusion lives: decoding one captured
-/// wire message into a frame on a single thread. A whole-frame wall hides
-/// the decode delta under the encode/transport/thread-scheduling noise of a
-/// full SPMD run, so the timing here isolates the codec decode step; the
-/// frames a fused and an unfused *full run* produce are still compared
-/// byte-for-byte and gate the exit code. Reps interleave (fused, unfused,
-/// fused, ...) so drift and background load hit both sides alike.
-std::vector<FusedRow> run_fused_benches(const PerfOptions& opt, bool& diverged) {
-  std::vector<FusedRow> rows;
-  core::EngineConfig fused_config;  // the defaults: 1 worker, fused decode
-  core::EngineConfig legacy_config;
-  legacy_config.fused_decode = false;
-  const auto methods = sparse_methods();
-  const int ranks = opt.ranks.back();
-  const int levels = std::countr_zero(static_cast<unsigned>(ranks));
-
-  for (const int size : opt.sizes) {
-    // Whole-frame identity gate: one fused/unfused run pair per method.
-    bool frames_identical = true;
-    {
-      const auto subimages = pvr::make_subimages(ranks, size, size, opt.density);
-      const auto order = core::make_uniform_order(levels);
-      for (const auto& method : methods) {
-        const pvr::MethodResult fused = pvr::run_compositing(
-            *method, subimages, order, core::CostModel::sp2(), fused_config);
-        const pvr::MethodResult unfused = pvr::run_compositing(
-            *method, subimages, order, core::CostModel::sp2(), legacy_config);
-        if (!(fused.final_image == unfused.final_image)) {
-          frames_identical = false;
-          diverged = true;
-          std::cerr << "DIVERGENCE: " << method->name() << " P=" << ranks << " @" << size
-                    << "^2 — fused and unpack+blend frames differ\n";
-        }
-      }
-    }
-
-    const img::Image source = pvr::random_subimage(size, size, opt.density, 211);
-    const img::Image base = pvr::random_subimage(size, size, 0.6, 212);
-
-    // One decode target per codec, shaped like a stage-1 message: BSBRC
-    // ships the frame's RLE'd bounding rectangle, BSLC the RLE of a
-    // stride-2 interleaved keep part. The caller's EngineContext decides
-    // fused vs legacy routing.
-    struct Target {
-      std::string method;
-      std::function<void(img::Image&, core::Counters&, core::EngineContext&)> decode;
-    };
-    std::vector<Target> targets;
-    {
-      const core::PayloadCodec& codec = core::codec_for(core::CodecKind::kRleRect);
-      const img::Rect rect = source.bounds();
-      auto buf = std::make_shared<img::PackBuffer>();
-      core::Counters ec;
-      codec.encode_rect(source, rect, rect, *buf, ec);
-      targets.push_back({"BSBRC", [&codec, buf, rect](img::Image& dest, core::Counters& c,
-                                                      core::EngineContext& engine) {
-                           img::UnpackBuffer in(buf->bytes());
-                           core::DecodeSink sink{dest, false, c, engine};
-                           (void)codec.decode_rect_into(sink, rect, in);
-                         }});
-    }
-    {
-      const core::PayloadCodec& codec = core::codec_for(core::CodecKind::kInterleavedRle);
-      const img::InterleavedRange part{0, 2, source.pixel_count() / 2};
-      auto buf = std::make_shared<img::PackBuffer>();
-      core::Counters ec;
-      codec.encode_range(source, part, *buf, ec);
-      targets.push_back({"BSLC", [&codec, buf, part](img::Image& dest, core::Counters& c,
-                                                     core::EngineContext& engine) {
-                           img::UnpackBuffer in(buf->bytes());
-                           core::DecodeSink sink{dest, false, c, engine};
-                           codec.decode_range_into(sink, part, in);
-                         }});
-    }
-
-    core::EngineContext fused_engine(fused_config);
-    core::EngineContext legacy_engine(legacy_config);
-
-    for (const Target& target : targets) {
-      FusedRow row;
-      row.method = target.method;
-      row.ranks = ranks;
-      row.size = size;
-
-      // Decode-level identity: same message, fresh destination, both paths.
-      img::Image fused_dest = base;
-      img::Image unfused_dest = base;
-      core::Counters fused_c, unfused_c;
-      target.decode(fused_dest, fused_c, fused_engine);
-      target.decode(unfused_dest, unfused_c, legacy_engine);
-      row.identical = frames_identical && fused_dest == unfused_dest &&
-                      fused_c.totals() == unfused_c.totals();
-      if (!(fused_dest == unfused_dest)) {
-        diverged = true;
-        std::cerr << "DIVERGENCE: " << row.method << " @" << size
-                  << "^2 — fused and unpack+blend decodes differ\n";
-      }
-
-      // Timed reps blend into a persistent destination (repeated over-blends
-      // saturate its values but never change the arithmetic per pixel).
-      img::Image dest = base;
-      core::Counters c;
-      row.fused_ms = 1e300;
-      row.unfused_ms = 1e300;
-      for (int rep = 0; rep < opt.reps; ++rep) {
-        row.fused_ms = std::min(row.fused_ms,
-                                time_best_ms(1, [&] { target.decode(dest, c, fused_engine); }));
-        row.unfused_ms = std::min(
-            row.unfused_ms, time_best_ms(1, [&] { target.decode(dest, c, legacy_engine); }));
-      }
-
-      std::cout << "  " << row.method << " decode @" << size << "^2: fused " << row.fused_ms
-                << " ms, unpack+blend " << row.unfused_ms << " ms ("
-                << (row.fused_ms > 0 ? row.unfused_ms / row.fused_ms : 0.0) << "x)"
-                << (row.identical ? "" : "  [MISMATCH]") << "\n";
-      rows.push_back(row);
     }
   }
   return rows;
@@ -728,8 +513,7 @@ void write_traffic_json(const PerfOptions& opt, const TrafficResult& t, bool div
 }
 
 void write_json(const PerfOptions& opt, const std::vector<KernelRow>& kernels,
-                const std::vector<MethodRow>& methods, const std::vector<WorkerRow>& workers,
-                const std::vector<FusedRow>& fused, bool diverged) {
+                const std::vector<MethodRow>& methods, bool diverged) {
   std::ostringstream js;
   js << "{\n";
   js << "  \"bench\": 8,\n";
@@ -761,27 +545,6 @@ void write_json(const PerfOptions& opt, const std::vector<KernelRow>& kernels,
        << ", \"received_bytes\": " << m.received_bytes
        << ", \"identical\": " << (m.identical ? "true" : "false") << "}"
        << (i + 1 < methods.size() ? "," : "") << "\n";
-  }
-  js << "  ],\n";
-  js << "  \"workers\": [\n";
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const WorkerRow& w = workers[i];
-    js << "    {\"method\": \"" << w.method << "\", \"ranks\": " << w.ranks
-       << ", \"image\": " << w.size << ", \"workers\": " << w.workers
-       << ", \"wall_ms\": " << w.wall_ms
-       << ", \"identical\": " << (w.identical ? "true" : "false") << "}"
-       << (i + 1 < workers.size() ? "," : "") << "\n";
-  }
-  js << "  ],\n";
-  js << "  \"fused\": [\n";
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    const FusedRow& f = fused[i];
-    js << "    {\"method\": \"" << f.method << "\", \"ranks\": " << f.ranks
-       << ", \"image\": " << f.size << ", \"fused_ms\": " << f.fused_ms
-       << ", \"unfused_ms\": " << f.unfused_ms << ", \"speedup\": "
-       << (f.fused_ms > 0.0 ? f.unfused_ms / f.fused_ms : 0.0)
-       << ", \"identical\": " << (f.identical ? "true" : "false") << "}"
-       << (i + 1 < fused.size() ? "," : "") << "\n";
   }
   js << "  ]\n";
   js << "}\n";
@@ -826,13 +589,7 @@ int main(int argc, char** argv) {
   bool diverged = false;
   const auto methods = run_method_benches(opt, diverged);
 
-  std::cout << "workers:\n";
-  const auto workers = run_worker_benches(opt, diverged);
-
-  std::cout << "fused:\n";
-  const auto fused = run_fused_benches(opt, diverged);
-
-  write_json(opt, kernels, methods, workers, fused, diverged);
+  write_json(opt, kernels, methods, diverged);
   if (diverged) {
     std::cerr << "slspvr-perf: FAIL — frame divergence detected\n";
     return 1;

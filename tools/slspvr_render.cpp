@@ -32,10 +32,6 @@
 //                                corruption heal instead of degrading)
 //     --retry-base-ms <ms>       first retry backoff step (default 1)
 //     --recv-timeout <ms>        receive deadline + blocked-rank watchdog
-//     --workers-per-rank <n>     intra-rank engine workers: each rank fans
-//                                its decode/composite bands across n threads
-//                                (default 1; frames are byte-identical for
-//                                any n, on both backends)
 //     --sessions <n>             frame-service mode: n concurrent client
 //                                sessions of the in-process FrameService,
 //                                each with its own camera offset and pooled
@@ -85,7 +81,6 @@
 #include "core/bslc.hpp"
 #include "core/direct_send.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/worker_pool.hpp"
 #include "image/compare.hpp"
 #include "image/image_io.hpp"
 #include "mp/fault.hpp"
@@ -121,7 +116,6 @@ struct Args {
   slspvr::mp::FaultPlan faults;
   bool fault_flags = false;  ///< any --fault-*/--retry-*/--recv-timeout seen
   bool ranks_given = false;
-  int workers_per_rank = 1;
   int sessions = 0;  ///< 0 = single-frame mode; >= 2 = FrameService mode
   slspvr::tools::ProcCli procs;
 };
@@ -169,8 +163,6 @@ Args parse(int argc, char** argv) {
     } else if (a == "--ranks") {
       args.ranks = std::atoi(next());
       args.ranks_given = true;
-    } else if (a == "--workers-per-rank") {
-      args.workers_per_rank = slspvr::tools::parse_workers_per_rank(next());
     } else if (a == "--sessions") {
       args.sessions = std::atoi(next());
       if (args.sessions < 2) {
@@ -353,7 +345,6 @@ int run_sessions(const Args& args, const core::Compositor& method) {
     session.volume_scale = args.scale;
     session.image_size = args.image;
     session.ranks = args.ranks;
-    session.engine.workers_per_rank = args.workers_per_rank;
     const int id = service.add_session(session, method);
 
     pvr::FrameRequest request;
@@ -417,16 +408,10 @@ int run_tool(const Args& args) {
 
   const auto method = make_method(args.method);
 
-  // Intra-rank fan-out is explicit engine configuration now: the thread
-  // backend threads it through ExperimentConfig into every rank's context;
-  // the --procs backend pins it per worker process via ProcOptions.
-  config.engine.workers_per_rank = args.workers_per_rank;
-
   // Multi-frame sequence mode: resident workers, camera stepped per frame,
   // boundary resurrection. Writes one PGM per frame and its own summary.
   if (args.procs.active() && args.procs.sequence()) {
     pvr::SequenceProcOptions sopts = slspvr::tools::to_sequence_options(args.procs);
-    sopts.proc.workers_per_rank = args.workers_per_rank;
     const vol::Dataset dataset =
         user_dataset ? *user_dataset : vol::make_dataset(args.dataset, args.scale);
     const pvr::SequenceRunResult seq =
@@ -465,7 +450,6 @@ int run_tool(const Args& args) {
   const auto execute = [&](const pvr::Experiment& experiment) {
     if (args.procs.active()) {
       pvr::ProcOptions popts = slspvr::tools::to_proc_options(args.procs);
-      popts.workers_per_rank = args.workers_per_rank;
       pvr::FtMethodResult ft = experiment.run_procs(*method, popts);
       result = std::move(ft.result);
       fault_report = std::move(ft.report);
