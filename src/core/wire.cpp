@@ -32,7 +32,8 @@ std::vector<img::Pixel>& strided_scratch(std::int64_t count) {
 template <typename T>
 const T* typed_view(std::span<const std::byte> bytes, std::size_t count,
                     std::vector<T>& bounce) {
-  if ((reinterpret_cast<std::uintptr_t>(bytes.data()) % alignof(T)) == 0) {
+  // An empty section is never read; its (maybe null) data() needs no bounce.
+  if (count == 0 || (reinterpret_cast<std::uintptr_t>(bytes.data()) % alignof(T)) == 0) {
     return reinterpret_cast<const T*>(bytes.data());
   }
   bounce.resize(count);

@@ -51,6 +51,7 @@ class PackBuffer {
 
  private:
   void append(const void* src, std::size_t n) {
+    if (n == 0) return;  // an empty span's data() may be null: no memcpy
     const auto old = data_.size();
     data_.resize(old + n);
     std::memcpy(data_.data() + old, src, n);
@@ -116,6 +117,7 @@ class UnpackBuffer {
       throw DecodeError("UnpackBuffer: short read (want " + std::to_string(n) +
                         ", have " + std::to_string(remaining()) + ")");
     }
+    if (n == 0) return;  // dst may be an empty vector's null data()
     std::memcpy(dst, data_.data() + cursor_, n);
     cursor_ += n;
   }

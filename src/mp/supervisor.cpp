@@ -608,7 +608,8 @@ SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
   std::vector<WorkerFailure> boundary_accum;  // failures between frames
   std::vector<WorkerFailure> boundary_carry;  // boundary_accum at frame open
   std::vector<WorkerReport> reports_accum;
-  std::optional<steady::time_point> settle_grace;
+  // Opened when only failed announcers still owe a kFrameDone; max() = closed.
+  steady::time_point settle_grace = steady::time_point::max();
   bool initial_window_closed = false;
 
   const auto rank_link = [&](int r) -> Link& { return ranks[static_cast<std::size_t>(r)]; };
@@ -881,9 +882,9 @@ SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
         (w.failed ? failed_pending : healthy_pending) = true;
       }
       if (!healthy_pending && failed_pending) {
-        if (!settle_grace) {
+        if (settle_grace == steady::time_point::max()) {
           settle_grace = now;
-        } else if (now - *settle_grace > opts.drain_deadline) {
+        } else if (now - settle_grace > opts.drain_deadline) {
           for (int r = 0; r < procs; ++r) {
             const std::size_t i = static_cast<std::size_t>(r);
             if (demoted[i] || dead[i] || frame_done[i] || rank_link(r).closed) continue;
@@ -909,7 +910,7 @@ SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
         out.frames.push_back(std::move(fo));
         frame_active = false;
         frame = -1;
-        settle_grace.reset();
+        settle_grace = steady::time_point::max();
         next_frame = static_cast<int>(out.frames.size());
       }
     }
@@ -977,7 +978,7 @@ SequenceOutcome Supervisor::run_sequence(const SupervisorOptions& opts,
         frame = next_frame;
         frame_active = true;
         std::fill(frame_done.begin(), frame_done.end(), false);
-        settle_grace.reset();
+        settle_grace = steady::time_point::max();
         boundary_carry = std::move(boundary_accum);
         boundary_accum.clear();
         FrameRoster roster;

@@ -31,42 +31,71 @@ namespace slspvr::pvr {
 Experiment::Experiment(const ExperimentConfig& config)
     : Experiment(vol::make_dataset(config.dataset, config.volume_scale), config) {}
 
-Experiment::Experiment(const vol::Dataset& dataset, const ExperimentConfig& config)
-    : config_(config) {
-  if (config.ranks <= 0) throw std::invalid_argument("Experiment: ranks must be positive");
+namespace {
 
+render::OrthoCamera frame_camera(const vol::Dataset& dataset, const ExperimentConfig& config) {
+  return render::OrthoCamera(dataset.volume.dims(), config.image_size, config.image_size,
+                             config.rot_x_deg, config.rot_y_deg);
+}
+
+render::RaycastOptions raycast_options(const ExperimentConfig& config) {
+  render::RaycastOptions options;
+  options.step = config.step;
+  return options;
+}
+
+}  // namespace
+
+FramePartition partition_frame(const vol::Dataset& dataset, const ExperimentConfig& config) {
   const vol::Dims dims = dataset.volume.dims();
-
-  render::OrthoCamera camera(dims, config.image_size, config.image_size, config.rot_x_deg,
-                             config.rot_y_deg);
   float dir[3];
-  camera.view_dir_array(dir);
-
-  // Partitioning phase.
+  frame_camera(dataset, config).view_dir_array(dir);
   if (vol::is_power_of_two(config.ranks)) {
     const vol::KdPartition partition =
         config.balanced_partition
             ? vol::kd_partition_balanced(dataset.volume, config.ranks, 64)
             : vol::kd_partition(dims, config.ranks);
-    bricks_ = partition.bricks;
-    order_ = core::make_swap_order(partition, dir);
-    folded_ = false;
-  } else {
-    // Non-power-of-two: depth-ordered slabs along x + the fold extension.
-    bricks_ = vol::slab_partition(dims, config.ranks, /*axis=*/0);
-    order_ = core::make_fold_order(config.ranks, /*axis=*/0, dir);
-    folded_ = true;
+    return {partition.bricks, core::make_swap_order(partition, dir)};
   }
+  // Non-power-of-two: depth-ordered slabs along x + the fold extension.
+  return {vol::slab_partition(dims, config.ranks, /*axis=*/0),
+          core::make_fold_order(config.ranks, /*axis=*/0, dir)};
+}
+
+img::Image render_subimage(const vol::Dataset& dataset, const ExperimentConfig& config,
+                           const vol::Brick& brick) {
+  const render::OrthoCamera camera = frame_camera(dataset, config);
+  img::Image sub(config.image_size, config.image_size);
+  if (config.use_splatting) {
+    render::splat_brick(dataset.volume, dataset.tf, camera, brick, sub);
+  } else {
+    render::render_brick(dataset.volume, dataset.tf, camera, brick, sub,
+                         raycast_options(config));
+  }
+  return sub;
+}
+
+FrameMethod::FrameMethod(const core::Compositor& method, int ranks)
+    : fold_(vol::is_power_of_two(ranks) ? nullptr
+                                        : std::make_unique<core::FoldCompositor>(method)),
+      chosen_(fold_ != nullptr ? fold_.get() : &method) {}
+
+Experiment::Experiment(const vol::Dataset& dataset, const ExperimentConfig& config)
+    : config_(config) {
+  if (config.ranks <= 0) throw std::invalid_argument("Experiment: ranks must be positive");
+
+  FramePartition partition = partition_frame(dataset, config);
+  bricks_ = std::move(partition.bricks);
+  order_ = std::move(partition.order);
 
   // Rendering phase. The distributed path executes the partitioning phase
   // over the message-passing runtime (rank 0 ships ghost bricks, PEs render
   // local-only); the default renders each brick against the shared volume —
   // identical images, no partition traffic to account.
-  render::RaycastOptions options;
-  options.step = config.step;
   if (config.distributed_partitioning && !config.use_splatting) {
     DistributedRender distributed =
-        distribute_and_render(dataset.volume, dataset.tf, bricks_, camera, options);
+        distribute_and_render(dataset.volume, dataset.tf, bricks_,
+                              frame_camera(dataset, config), raycast_options(config));
     subimages_ = std::move(distributed.subimages);
     total_partition_bytes_ = distributed.total_partition_bytes;
     max_partition_bytes_ = distributed.max_partition_bytes;
@@ -74,13 +103,7 @@ Experiment::Experiment(const vol::Dataset& dataset, const ExperimentConfig& conf
   }
   subimages_.reserve(bricks_.size());
   for (const vol::Brick& brick : bricks_) {
-    img::Image sub(config.image_size, config.image_size);
-    if (config.use_splatting) {
-      render::splat_brick(dataset.volume, dataset.tf, camera, brick, sub);
-    } else {
-      render::render_brick(dataset.volume, dataset.tf, camera, brick, sub, options);
-    }
-    subimages_.push_back(std::move(sub));
+    subimages_.push_back(render_subimage(dataset, config, brick));
   }
 }
 
@@ -177,19 +200,15 @@ FtMethodResult run_compositing_ft(const core::Compositor& method,
                        std::move(out.report), arena);
 }
 
-FtMethodResult Experiment::run_ft(const core::Compositor& method,
-                                  const mp::FaultPlan& faults) const {
-  const core::FoldCompositor folded(method);
-  const core::Compositor* compositor = folded_ ? static_cast<const core::Compositor*>(&folded)
-                                               : &method;
-  return run_compositing_ft(*compositor, subimages_, order_, faults, config_.cost_model);
+FtMethodResult Experiment::run_ft(const core::Compositor& method, const mp::FaultPlan& faults,
+                                  core::EngineArena* arena) const {
+  const FrameMethod frame(method, config_.ranks);
+  return run_compositing_ft(frame.get(), subimages_, order_, faults, config_.cost_model, arena);
 }
 
 MethodResult Experiment::run(const core::Compositor& method) const {
-  const core::FoldCompositor folded(method);
-  const core::Compositor* compositor = folded_ ? static_cast<const core::Compositor*>(&folded)
-                                               : &method;
-  return run_compositing(*compositor, subimages_, order_, config_.cost_model);
+  const FrameMethod frame(method, config_.ranks);
+  return run_compositing(frame.get(), subimages_, order_, config_.cost_model);
 }
 
 std::vector<std::unique_ptr<core::Compositor>> MethodSet::paper_methods() {

@@ -8,6 +8,13 @@
 // the gathered final image. Power-of-two rank counts use the kd partition;
 // any other count automatically switches to the slab decomposition and
 // wraps the method in the non-power-of-two fold extension.
+//
+// The frame path: each phase of a frame has one implementation —
+// partition_frame (partition + compositing order), render_subimage (one
+// brick) and FrameMethod (the fold choice) below, run_attempt and
+// assemble_result in pvr/recovery.hpp — and every runner goes through them:
+// Experiment, the --procs and sequence worker processes
+// (pvr/proc_runner.cpp) and FrameService.
 #pragma once
 
 #include <cstdint>
@@ -123,8 +130,6 @@ class Experiment {
   }
   [[nodiscard]] const core::SwapOrder& order() const noexcept { return order_; }
   [[nodiscard]] const std::vector<vol::Brick>& bricks() const noexcept { return bricks_; }
-  /// Non-power-of-two rank counts need methods wrapped in the fold extension.
-  [[nodiscard]] bool folded() const noexcept { return folded_; }
 
   /// Sequential depth-ordered composite of the subimages — the ground truth.
   [[nodiscard]] img::Image reference() const;
@@ -143,14 +148,18 @@ class Experiment {
   /// Fault-tolerant variant: runs `method` under the given fault plan; on
   /// PE failure the frame is finished from the survivors (degraded mode)
   /// and the FaultReport says what was lost. With an empty plan this is
-  /// behaviourally identical to run().
+  /// behaviourally identical to run(). A non-null `arena` supplies pooled
+  /// per-rank engine contexts (FrameService passes its session's arena).
   [[nodiscard]] FtMethodResult run_ft(const core::Compositor& method,
-                                      const mp::FaultPlan& faults) const;
+                                      const mp::FaultPlan& faults,
+                                      core::EngineArena* arena = nullptr) const;
 
   /// Multi-process variant: the compositing phase runs in real worker
   /// processes over the socket backend (defined in pvr/proc_runner.cpp).
   /// Clean runs produce a final frame byte-identical to run()'s; real
-  /// worker deaths are finished from the survivors with a FaultReport.
+  /// worker deaths are finished from the survivors via recover_frame, with
+  /// the supervisor's provenance ("killed by signal 9 (SIGKILL)",
+  /// "heartbeat timeout: ...") in the FaultReport events.
   [[nodiscard]] FtMethodResult run_procs(const core::Compositor& method,
                                          const ProcOptions& opts) const;
 
@@ -159,9 +168,39 @@ class Experiment {
   std::vector<vol::Brick> bricks_;
   core::SwapOrder order_;
   std::vector<img::Image> subimages_;
-  bool folded_ = false;  ///< non-power-of-two ranks: wrap methods in Fold
   std::uint64_t total_partition_bytes_ = 0;
   std::uint64_t max_partition_bytes_ = 0;
+};
+
+/// Partitioning phase for one view: kd bricks and their swap order at a
+/// power-of-two rank count, else depth-ordered slabs along x with the fold
+/// order. Deterministic in (volume, config), so a respawned worker derives
+/// the same bricks as its dead predecessor.
+struct FramePartition {
+  std::vector<vol::Brick> bricks;
+  core::SwapOrder order;
+};
+[[nodiscard]] FramePartition partition_frame(const vol::Dataset& dataset,
+                                             const ExperimentConfig& config);
+
+/// Rendering phase for one brick: ray cast (or splat) it into a full-frame
+/// subimage of the config's view.
+[[nodiscard]] img::Image render_subimage(const vol::Dataset& dataset,
+                                         const ExperimentConfig& config,
+                                         const vol::Brick& brick);
+
+/// The fold choice: over a power-of-two rank count a frame composites with
+/// `method` itself; over any other count (slab partition, fold order) with
+/// `method` wrapped in the fold extension. get() is valid while both this
+/// and `method` live.
+class FrameMethod {
+ public:
+  FrameMethod(const core::Compositor& method, int ranks);
+  [[nodiscard]] const core::Compositor& get() const noexcept { return *chosen_; }
+
+ private:
+  std::unique_ptr<core::Compositor> fold_;  ///< null at a power-of-two count
+  const core::Compositor* chosen_ = nullptr;
 };
 
 /// Run one compositing method SPMD over externally supplied subimages (no

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/fold.hpp"
-
 namespace slspvr::pvr {
 
 namespace {
@@ -208,14 +206,8 @@ FrameResult FrameService::execute(Session& session, Pending pending) {
     session.cached_rot_x = pending.request.rot_x_deg;
     session.cached_rot_y = pending.request.rot_y_deg;
   }
-  const Experiment& experiment = *session.cached;
-
-  const core::FoldCompositor folded(*session.method);
-  const core::Compositor& method =
-      experiment.folded() ? static_cast<const core::Compositor&>(folded) : *session.method;
-  FtMethodResult ft = run_compositing_ft(method, experiment.subimages(), experiment.order(),
-                                         pending.request.faults, session.config.cost_model,
-                                         &session.arena);
+  FtMethodResult ft =
+      session.cached->run_ft(*session.method, pending.request.faults, &session.arena);
 
   const auto finished = std::chrono::steady_clock::now();
   out.status = FrameStatus::kDone;

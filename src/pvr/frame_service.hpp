@@ -20,8 +20,8 @@
 //    buffers;
 //  * sessions are served round-robin, so a flood from one session cannot
 //    starve the others;
-//  * each frame executes under the full PR 4/PR 9 recovery ladder
-//    (run_compositing_ft): a fault injected into one session's frame is
+//  * each frame executes under the full recovery ladder
+//    (Experiment::run_ft): a fault injected into one session's frame is
 //    resolved by repair or degraded fold-out inside that frame — other
 //    sessions' frames are untouched, byte-identical to a fault-free run.
 //

@@ -12,19 +12,13 @@
 
 #include "core/engine.hpp"
 #include "core/engine_context.hpp"
-#include "core/fold.hpp"
 #include "core/reference.hpp"
-#include "core/timeline.hpp"
 #include "mp/communicator.hpp"
 #include "mp/socket.hpp"
 #include "mp/socket_transport.hpp"
 #include "mp/supervisor.hpp"
 #include "pvr/recovery.hpp"
 #include "pvr/serialize.hpp"
-#include "render/camera.hpp"
-#include "render/raycast.hpp"
-#include "render/splatting.hpp"
-#include "volume/partition.hpp"
 
 namespace slspvr::pvr {
 
@@ -46,6 +40,10 @@ void trigger_crash(const ProcCrash& crash) {
       (void)::raise(SIGSTOP);
       break;
     case ProcCrash::Kind::kSigsegv:
+      // Restore the default action first: a sanitizer runtime installs its
+      // own SIGSEGV handler, which reports and exits instead of letting the
+      // process die by the signal the supervisor is meant to see.
+      (void)::signal(SIGSEGV, SIG_DFL);
       (void)::raise(SIGSEGV);
       break;
     case ProcCrash::Kind::kExit:
@@ -99,26 +97,90 @@ void ship_failure(mp::SocketTransport& sock, int stage, bool primary,
   }
 }
 
-/// The forked child's whole life. Mirrors run_attempt's SPMD body exactly —
-/// same composite + gather_final calls — so a clean multi-process frame is
-/// byte-identical to the in-process one.
+/// Stage observer of one worker frame: report each stage to the supervisor
+/// and fire any crash planted at (rank, stage) for frame `frame` — a *real*
+/// crash, not an injected exception: the process dies (or goes silent)
+/// mid-frame and the supervisor finds out the hard way.
+void observe_stages(mp::CommContext& ctx, mp::SocketTransport& sock,
+                    const std::vector<ProcCrash>& crashes, int frame) {
+  ctx.stage_observer = [&sock, &crashes, frame](int r, int stage) {
+    sock.note_stage(stage);
+    for (const ProcCrash& crash : crashes) {
+      if (crash.rank == r && crash.stage == stage &&
+          (crash.frame < 0 || crash.frame == frame)) {
+        trigger_crash(crash);
+      }
+    }
+  };
+}
+
+/// One rank's compositing phase in a worker process: run_attempt's SPMD body
+/// (composite, then gather_final), so a clean multi-process frame is
+/// byte-identical to the in-process one. A clean rank ships its counters
+/// and traffic (rank 0 also the gathered frame). A failed rank ships its
+/// stage and retained partials so the supervisor can repair mid-frame; a
+/// primary failure is announced first, and the supervisor aborts the
+/// survivors with kPeerFailed. Returns the worker exit code of the outcome.
+int composite_and_ship(mp::SocketTransport& sock, mp::CommContext& ctx, int rank, int ranks,
+                       const core::Compositor& method, img::Image& local,
+                       const core::SwapOrder& order, core::EngineContext& engine) {
+  SnapshotStore store(ranks);
+  try {
+    const RetentionGuard retention(&store);
+    mp::Comm comm(&ctx, rank);
+    core::Counters counters;
+    const auto t0 = std::chrono::steady_clock::now();
+    const core::Ownership owned = method.composite(comm, local, order, counters, engine);
+    img::Image gathered = core::gather_final(comm, local, owned, /*root=*/0);
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+            .count();
+    ship_state(sock, rank, ctx, counters, wall_ms);
+    if (rank == 0) {
+      ByteWriter w;
+      write_image(w, gathered);
+      sock.send_report(kReportImage, w.data());
+    }
+    return mp::kWorkerExitClean;
+  } catch (const mp::PeerFailedError& e) {
+    // Secondary casualty: a peer's already-known death aborted this rank.
+    ship_failure(sock, ctx.trace.stage(rank), /*primary=*/false, e.what(), store, rank);
+    return mp::kWorkerExitAborted;
+  } catch (const std::exception& e) {
+    const int stage = ctx.trace.stage(rank);
+    sock.announce_failure(stage, e.what());
+    ship_failure(sock, stage, /*primary=*/true, e.what(), store, rank);
+    return mp::kWorkerExitError;
+  }
+}
+
+/// Connect to the supervisor (bounded backoff) and say hello as incarnation
+/// `generation`; nullopt when the connect budget runs out.
+std::optional<mp::Fd> connect_and_hello(const mp::Endpoint& endpoint,
+                                        const mp::RetryPolicy& policy, int rank,
+                                        std::uint32_t generation) {
+  mp::Fd link;
+  try {
+    link = mp::connect_with_backoff(endpoint, policy, rank);
+  } catch (...) {
+    return std::nullopt;  // typed RetryExhaustedError upstream
+  }
+  mp::Frame hello;
+  hello.kind = mp::FrameKind::kHello;
+  hello.source = rank;
+  hello.generation = generation;
+  mp::send_all(link.get(), mp::pack_frame(hello));
+  return link;
+}
+
+/// A single-frame worker's whole life: composite its rank's subimage
+/// (rendered by the parent before the fork), ship the outcome, say goodbye.
 int worker_main(int rank, const mp::Endpoint& endpoint, const core::Compositor& method,
                 const std::vector<img::Image>& subimages, const core::SwapOrder& order,
                 const ProcOptions& opts) {
-  mp::Fd link;
   try {
-    link = mp::connect_with_backoff(endpoint, opts.connect, rank);
-  } catch (...) {
-    return mp::kWorkerExitConnect;  // typed RetryExhaustedError upstream
-  }
-
-  try {
-    {
-      mp::Frame hello;
-      hello.kind = mp::FrameKind::kHello;
-      hello.source = rank;
-      mp::send_all(link.get(), mp::pack_frame(hello));
-    }
+    std::optional<mp::Fd> link = connect_and_hello(endpoint, opts.connect, rank, 0);
+    if (!link) return mp::kWorkerExitConnect;
 
     const int ranks = static_cast<int>(subimages.size());
     mp::CommContext ctx(ranks);
@@ -127,58 +189,18 @@ int worker_main(int rank, const mp::Endpoint& endpoint, const core::Compositor& 
     topts.backend = opts.transport;
     topts.heartbeat_interval = opts.heartbeat_interval;
     auto transport =
-        std::make_unique<mp::SocketTransport>(&ctx, rank, std::move(link), std::move(topts));
-    mp::SocketTransport* sock = transport.get();
+        std::make_unique<mp::SocketTransport>(&ctx, rank, std::move(*link), std::move(topts));
+    mp::SocketTransport& sock = *transport;
     ctx.transport = std::move(transport);
-    ctx.stage_observer = [sock, &opts](int r, int stage) {
-      sock->note_stage(stage);
-      if (opts.crash && opts.crash->rank == r && opts.crash->stage == stage) {
-        // A *real* crash, not an injected exception: the process dies (or
-        // goes silent) mid-frame and the supervisor finds out the hard way.
-        trigger_crash(*opts.crash);
-      }
-    };
-    sock->start();
+    observe_stages(ctx, sock, opts.crashes, /*frame=*/0);
+    sock.start();
 
     // This process IS one rank: one explicit engine context for its frame.
     core::EngineContext engine;
-
-    SnapshotStore store(ranks);
-    mp::Comm comm(&ctx, rank);
-    core::Counters counters;
     img::Image local = subimages[static_cast<std::size_t>(rank)];  // methods mutate
-
-    try {
-      const RetentionGuard retention(&store);
-      const auto t0 = std::chrono::steady_clock::now();
-      const core::Ownership owned = method.composite(comm, local, order, counters, engine);
-      img::Image gathered = core::gather_final(comm, local, owned, /*root=*/0);
-      const double wall_ms =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-              .count();
-      ship_state(*sock, rank, ctx, counters, wall_ms);
-      if (rank == 0) {
-        ByteWriter w;
-        write_image(w, gathered);
-        sock->send_report(kReportImage, w.data());
-      }
-      sock->goodbye_and_wait(opts.drain_deadline);
-      return mp::kWorkerExitClean;
-    } catch (const mp::PeerFailedError& e) {
-      // Secondary casualty: a peer's already-known death aborted this rank.
-      // Ship the retained partials so the supervisor can repair mid-frame.
-      ship_failure(*sock, ctx.trace.stage(rank), /*primary=*/false, e.what(), store, rank);
-      sock->goodbye_and_wait(opts.drain_deadline);
-      return mp::kWorkerExitAborted;
-    } catch (const std::exception& e) {
-      // Primary failure of this rank: announce it (the supervisor broadcasts
-      // kPeerFailed so the survivors abort), then ship the evidence.
-      const int stage = ctx.trace.stage(rank);
-      sock->announce_failure(stage, e.what());
-      ship_failure(*sock, stage, /*primary=*/true, e.what(), store, rank);
-      sock->goodbye_and_wait(opts.drain_deadline);
-      return mp::kWorkerExitError;
-    }
+    const int code = composite_and_ship(sock, ctx, rank, ranks, method, local, order, engine);
+    sock.goodbye_and_wait(opts.drain_deadline);
+    return code;
   } catch (...) {
     return mp::kWorkerExitError;
   }
@@ -299,6 +321,51 @@ DecodedReports decode_reports(const std::vector<mp::WorkerReport>& reports, int 
   return dec;
 }
 
+/// Supervisor knobs shared by the single-frame and the sequence runner.
+mp::SupervisorOptions supervisor_options(const ProcOptions& opts, int ranks) {
+  mp::SupervisorOptions sup;
+  sup.endpoint = make_endpoint(opts);
+  sup.procs = ranks;
+  sup.heartbeat_timeout = opts.heartbeat_timeout;
+  sup.accept_deadline = opts.accept_deadline;
+  sup.drain_deadline = opts.drain_deadline;
+  return sup;
+}
+
+/// A frame every worker finished: its MethodResult, from the shipped reports.
+MethodResult result_from_reports(std::string_view method, DecodedReports& dec,
+                                 const core::CostModel& model) {
+  if (!dec.final_image ||
+      !std::all_of(dec.have_state.begin(), dec.have_state.end(), [](bool b) { return b; })) {
+    throw mp::TransportError("clean " + std::string(method) +
+                             " frame but incomplete worker reports");
+  }
+  return assemble_result(method, std::move(dec.counters), dec.trace, model,
+                         *std::max_element(dec.walls.begin(), dec.walls.end()),
+                         std::move(*dec.final_image));
+}
+
+/// Seed the report of a frame workers died in: the supervisor's failures
+/// (primary, with their provenance), then the survivors' own secondary
+/// aborts (a primary worker report repeats the supervisor's record).
+/// Returns the failed-rank mask.
+std::vector<bool> seed_failures(FaultReport& report,
+                                const std::vector<mp::WorkerFailure>& failures,
+                                const DecodedReports& dec, int ranks) {
+  report.faulted = true;
+  std::vector<bool> failed(static_cast<std::size_t>(ranks), false);
+  for (const mp::WorkerFailure& f : failures) {
+    if (f.rank < 0 || f.rank >= ranks) continue;
+    failed[static_cast<std::size_t>(f.rank)] = true;
+    report.events.push_back({f.rank, f.stage, /*primary=*/true, /*attempt=*/0, f.what});
+  }
+  for (const WorkerFailureReport& wf : dec.worker_failures) {
+    if (wf.primary) continue;
+    report.events.push_back({wf.rank, wf.stage, /*primary=*/false, /*attempt=*/0, wf.what});
+  }
+  return failed;
+}
+
 // ---- sequence mode ------------------------------------------------------
 
 /// The camera for frame `f` of a sequence: the base view stepped per frame,
@@ -310,54 +377,6 @@ ExperimentConfig sequence_frame_config(const ExperimentConfig& base,
   cfg.rot_x_deg = base.rot_x_deg + opts.rot_step_x * static_cast<float>(frame);
   cfg.rot_y_deg = base.rot_y_deg + opts.rot_step_y * static_cast<float>(frame);
   return cfg;
-}
-
-/// Partition + swap order for one frame's view — the Experiment constructor's
-/// partitioning phase without the rendering phase. Deterministic in
-/// (volume, config), which is what makes a respawned rank's world view
-/// byte-identical to its dead predecessor's.
-struct FrameGeometry {
-  std::vector<vol::Brick> bricks;
-  core::SwapOrder order;
-  bool folded = false;
-};
-
-FrameGeometry derive_frame_geometry(const vol::Dataset& dataset, const ExperimentConfig& cfg) {
-  const vol::Dims dims = dataset.volume.dims();
-  render::OrthoCamera camera(dims, cfg.image_size, cfg.image_size, cfg.rot_x_deg,
-                             cfg.rot_y_deg);
-  float dir[3];
-  camera.view_dir_array(dir);
-  FrameGeometry geom;
-  if (vol::is_power_of_two(cfg.ranks)) {
-    const vol::KdPartition partition =
-        cfg.balanced_partition ? vol::kd_partition_balanced(dataset.volume, cfg.ranks, 64)
-                               : vol::kd_partition(dims, cfg.ranks);
-    geom.bricks = partition.bricks;
-    geom.order = core::make_swap_order(partition, dir);
-  } else {
-    geom.bricks = vol::slab_partition(dims, cfg.ranks, /*axis=*/0);
-    geom.order = core::make_fold_order(cfg.ranks, /*axis=*/0, dir);
-    geom.folded = true;
-  }
-  return geom;
-}
-
-/// Render one rank's brick for one frame's view (the sort-last rendering
-/// phase, restricted to the caller's own brick).
-img::Image render_one_brick(const vol::Dataset& dataset, const ExperimentConfig& cfg,
-                            const vol::Brick& brick) {
-  render::OrthoCamera camera(dataset.volume.dims(), cfg.image_size, cfg.image_size,
-                             cfg.rot_x_deg, cfg.rot_y_deg);
-  img::Image sub(cfg.image_size, cfg.image_size);
-  if (cfg.use_splatting) {
-    render::splat_brick(dataset.volume, dataset.tf, camera, brick, sub);
-  } else {
-    render::RaycastOptions options;
-    options.step = cfg.step;
-    render::render_brick(dataset.volume, dataset.tf, camera, brick, sub, options);
-  }
-  return sub;
 }
 
 /// Non-owning Transport adapter: a sequence worker's SocketTransport
@@ -378,49 +397,34 @@ class BorrowedTransport final : public mp::Transport {
 /// generation, then loop kFrameStart -> render own brick -> composite ->
 /// kFrameDone until the supervisor says kShutdown. Every frame builds a
 /// fresh CommContext, so per-channel seq spaces restart cleanly per frame
-/// and per generation.
+/// and per generation. `method` is the frame method (fold choice made).
 int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint& endpoint,
                          const core::Compositor& method, const vol::Dataset& dataset,
                          const ExperimentConfig& base, const SequenceProcOptions& opts) {
-  mp::Fd link;
   try {
-    link = mp::connect_with_backoff(endpoint, opts.proc.connect, rank);
-  } catch (...) {
-    return mp::kWorkerExitConnect;
-  }
-
-  try {
-    {
-      mp::Frame hello;
-      hello.kind = mp::FrameKind::kHello;
-      hello.source = rank;
-      hello.generation = generation;
-      mp::send_all(link.get(), mp::pack_frame(hello));
-    }
+    std::optional<mp::Fd> link = connect_and_hello(endpoint, opts.proc.connect, rank, generation);
+    if (!link) return mp::kWorkerExitConnect;
 
     mp::SocketTransport::Options topts;
     topts.backend = opts.proc.transport;
     topts.heartbeat_interval = opts.proc.heartbeat_interval;
     topts.generation = generation;
     topts.sequence = true;
-    mp::SocketTransport sock(/*ctx=*/nullptr, rank, std::move(link), std::move(topts));
+    mp::SocketTransport sock(/*ctx=*/nullptr, rank, std::move(*link), std::move(topts));
     sock.start();
 
     // One explicit engine context for this rank, reused across the whole
     // frame sequence — scratch warms up on frame 0 and stays hot.
     core::EngineContext engine;
 
-    const int ranks = base.ranks;
-    const core::FoldCompositor folded_method(method);
-
     for (;;) {
       const std::optional<mp::FrameRoster> roster = sock.await_frame_start(opts.frame_deadline);
       if (!roster) break;  // kShutdown, dead link, or frame deadline
       const int frame = roster->frame;
       const ExperimentConfig cfg = sequence_frame_config(base, opts, frame);
-      const FrameGeometry geom = derive_frame_geometry(dataset, cfg);
+      const FramePartition partition = partition_frame(dataset, cfg);
       img::Image local =
-          render_one_brick(dataset, cfg, geom.bricks[static_cast<std::size_t>(rank)]);
+          render_subimage(dataset, cfg, partition.bricks[static_cast<std::size_t>(rank)]);
 
       if (!roster->demoted.empty()) {
         // Demoted roster: no full-strength plan exists anymore. Every
@@ -433,51 +437,14 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
         continue;
       }
 
-      mp::CommContext ctx(ranks);
+      mp::CommContext ctx(base.ranks);
       ctx.mailboxes[static_cast<std::size_t>(rank)].set_capacity(opts.proc.inbox_capacity);
       ctx.transport = std::make_unique<BorrowedTransport>(&sock);
-      ctx.stage_observer = [&sock, &opts, frame](int r, int stage) {
-        sock.note_stage(stage);
-        for (const ProcCrash& crash : opts.crashes) {
-          if (crash.rank == r && crash.stage == stage &&
-              (crash.frame < 0 || crash.frame == frame)) {
-            trigger_crash(crash);
-          }
-        }
-      };
-
-      SnapshotStore store(ranks);
+      observe_stages(ctx, sock, opts.proc.crashes, frame);
       sock.begin_frame(&ctx);
-      bool aborted = false;
-      try {
-        const RetentionGuard retention(&store);
-        mp::Comm comm(&ctx, rank);
-        core::Counters counters;
-        const core::Compositor& frame_method =
-            geom.folded ? static_cast<const core::Compositor&>(folded_method) : method;
-        const auto t0 = std::chrono::steady_clock::now();
-        const core::Ownership owned =
-            frame_method.composite(comm, local, geom.order, counters, engine);
-        img::Image gathered = core::gather_final(comm, local, owned, /*root=*/0);
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-                .count();
-        ship_state(sock, rank, ctx, counters, wall_ms);
-        if (rank == 0) {
-          ByteWriter w;
-          write_image(w, gathered);
-          sock.send_report(kReportImage, w.data());
-        }
-      } catch (const mp::PeerFailedError& e) {
-        aborted = true;
-        ship_failure(sock, ctx.trace.stage(rank), /*primary=*/false, e.what(), store, rank);
-      } catch (const std::exception& e) {
-        aborted = true;
-        const int stage = ctx.trace.stage(rank);
-        sock.announce_failure(stage, e.what());
-        ship_failure(sock, stage, /*primary=*/true, e.what(), store, rank);
-      }
-      sock.end_frame(frame, aborted);
+      const int code = composite_and_ship(sock, ctx, rank, base.ranks, method, local,
+                                          partition.order, engine);
+      sock.end_frame(frame, /*aborted=*/code != mp::kWorkerExitClean);
     }
 
     if (sock.link_lost()) return mp::kWorkerExitError;
@@ -490,78 +457,28 @@ int sequence_worker_main(int rank, std::uint32_t generation, const mp::Endpoint&
 
 }  // namespace
 
-FtMethodResult run_compositing_procs(const core::Compositor& method,
-                                     const std::vector<img::Image>& subimages,
-                                     const core::SwapOrder& order, const ProcOptions& opts,
-                                     const core::CostModel& model) {
-  const int ranks = static_cast<int>(subimages.size());
-  if (ranks <= 0) throw std::invalid_argument("run_compositing_procs: no subimages");
-
-  mp::SupervisorOptions sup;
-  sup.endpoint = make_endpoint(opts);
-  sup.procs = ranks;
-  sup.heartbeat_timeout = opts.heartbeat_timeout;
-  sup.accept_deadline = opts.accept_deadline;
-  sup.drain_deadline = opts.drain_deadline;
-
+FtMethodResult Experiment::run_procs(const core::Compositor& method,
+                                     const ProcOptions& opts) const {
+  const int ranks = config_.ranks;
+  const FrameMethod frame(method, ranks);
+  const mp::SupervisorOptions sup = supervisor_options(opts, ranks);
   const mp::SupervisorOutcome outcome = mp::Supervisor::run(
       sup, [&](int rank, const mp::Endpoint& at) {
-        return worker_main(rank, at, method, subimages, order, opts);
+        return worker_main(rank, at, frame.get(), subimages_, order_, opts);
       });
   if (sup.endpoint.kind == mp::Endpoint::Kind::kUnix) (void)::unlink(sup.endpoint.path.c_str());
 
   DecodedReports dec = decode_reports(outcome.reports, ranks);
-
   FtMethodResult out;
   out.report.retry_stats += dec.trace.retry_stats();
-
   if (outcome.clean()) {
-    if (!dec.final_image ||
-        !std::all_of(dec.have_state.begin(), dec.have_state.end(), [](bool b) { return b; })) {
-      throw mp::TransportError(
-          "run_compositing_procs: clean supervisor outcome but incomplete worker reports");
-    }
-    MethodResult& result = out.result;
-    result.method = std::string(method.name());
-    result.per_rank = std::move(dec.counters);
-    result.times = model.critical_path(result.per_rank, dec.trace);
-    result.timeline = core::simulate_timeline(result.per_rank, dec.trace, model);
-    result.m_max = core::max_received_message_bytes(dec.trace);
-    result.received_bytes_per_rank.resize(static_cast<std::size_t>(ranks));
-    for (int r = 0; r < ranks; ++r) {
-      result.received_bytes_per_rank[static_cast<std::size_t>(r)] =
-          core::received_message_bytes(dec.trace, r);
-    }
-    result.wall_ms = *std::max_element(dec.walls.begin(), dec.walls.end());
-    result.final_image = std::move(*dec.final_image);
+    out.result = result_from_reports(frame.get().name(), dec, config_.cost_model);
     return out;
   }
-
-  // Real failures: seed the report with the supervisor's provenance (attempt
-  // 0), add the survivors' secondary aborts from their own reports (primary
-  // worker reports duplicate the supervisor's kFailed record — skip), and
-  // finish the frame in this process from the shipped snapshots.
-  out.report.faulted = true;
-  std::vector<bool> failed(static_cast<std::size_t>(ranks), false);
-  for (const mp::WorkerFailure& f : outcome.failures) {
-    if (f.rank < 0 || f.rank >= ranks) continue;
-    failed[static_cast<std::size_t>(f.rank)] = true;
-    out.report.events.push_back({f.rank, f.stage, /*primary=*/true, /*attempt=*/0, f.what});
-  }
-  for (const WorkerFailureReport& wf : dec.worker_failures) {
-    if (wf.primary) continue;
-    out.report.events.push_back({wf.rank, wf.stage, /*primary=*/false, /*attempt=*/0, wf.what});
-  }
-  return recover_frame(method, subimages, order, model, dec.store, std::move(failed),
-                       std::move(out.report));
-}
-
-FtMethodResult Experiment::run_procs(const core::Compositor& method,
-                                     const ProcOptions& opts) const {
-  const core::FoldCompositor folded(method);
-  const core::Compositor* compositor = folded_ ? static_cast<const core::Compositor*>(&folded)
-                                               : &method;
-  return run_compositing_procs(*compositor, subimages_, order_, opts, config_.cost_model);
+  // Real failures: finish the frame in this process from the shipped snapshots.
+  std::vector<bool> failed = seed_failures(out.report, outcome.failures, dec, ranks);
+  return recover_frame(frame.get(), subimages_, order_, config_.cost_model, dec.store,
+                       std::move(failed), std::move(out.report));
 }
 
 SequenceRunResult run_compositing_sequence(const core::Compositor& method,
@@ -576,20 +493,16 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
     throw std::invalid_argument("run_compositing_sequence: frames must be positive");
   }
 
-  mp::SupervisorOptions sup;
-  sup.endpoint = make_endpoint(opts.proc);
-  sup.procs = ranks;
-  sup.heartbeat_timeout = opts.proc.heartbeat_timeout;
-  sup.accept_deadline = opts.proc.accept_deadline;
-  sup.drain_deadline = opts.proc.drain_deadline;
-
+  const FrameMethod frame_method(method, ranks);
+  const mp::SupervisorOptions sup = supervisor_options(opts.proc, ranks);
   mp::SequenceOptions seq;
   seq.frames = opts.frames;
   seq.respawn = opts.respawn;
 
   const mp::SequenceOutcome outcome = mp::Supervisor::run_sequence(
       sup, seq, [&](int rank, std::uint32_t generation, const mp::Endpoint& at) {
-        return sequence_worker_main(rank, generation, at, method, dataset, base, opts);
+        return sequence_worker_main(rank, generation, at, frame_method.get(), dataset, base,
+                                    opts);
       });
   if (sup.endpoint.kind == mp::Endpoint::Kind::kUnix) (void)::unlink(sup.endpoint.path.c_str());
 
@@ -620,14 +533,10 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
       // and the parent folds the frame out here in depth order. A survivor
       // that died mid-frame (or whose subimage never arrived) is folded out
       // too — a blank subimage is the over-operator identity.
-      const FrameGeometry geom = derive_frame_geometry(dataset, cfg);
-      std::vector<bool> lost(static_cast<std::size_t>(ranks), false);
+      const FramePartition partition = partition_frame(dataset, cfg);
+      std::vector<bool> lost = seed_failures(ft.report, fo.failures, dec, ranks);
       for (const int r : fo.demoted) {
         if (r >= 0 && r < ranks) lost[static_cast<std::size_t>(r)] = true;
-      }
-      for (const mp::WorkerFailure& f : fo.failures) {
-        ft.report.events.push_back({f.rank, f.stage, /*primary=*/true, /*attempt=*/0, f.what});
-        if (f.rank >= 0 && f.rank < ranks) lost[static_cast<std::size_t>(f.rank)] = true;
       }
       std::vector<img::Image> subs;
       subs.reserve(static_cast<std::size_t>(ranks));
@@ -640,67 +549,28 @@ SequenceRunResult run_compositing_sequence(const core::Compositor& method,
           subs.emplace_back(cfg.image_size, cfg.image_size);
         }
       }
-      ft.report.faulted = true;
       ft.report.degraded = true;
       const img::Rect full{0, 0, cfg.image_size, cfg.image_size};
       for (int r = 0; r < ranks; ++r) {
         if (!lost[static_cast<std::size_t>(r)]) continue;
         ft.report.failed_ranks.push_back(r);
-        const img::Image sub =
-            render_one_brick(dataset, cfg, geom.bricks[static_cast<std::size_t>(r)]);
-        ft.report.pixels_lost += img::count_non_blank(sub, full);
+        ft.report.pixels_lost += img::count_non_blank(
+            render_subimage(dataset, cfg, partition.bricks[static_cast<std::size_t>(r)]), full);
       }
       ft.result.method = std::string(method.name());
-      ft.result.final_image = core::composite_reference(subs, geom.order.front_to_back);
+      ft.result.final_image = core::composite_reference(subs, partition.order.front_to_back);
     } else if (fo.failures.empty()) {
-      // Clean full-strength frame: assemble the MethodResult exactly as
-      // run_compositing_procs does, so frame f is byte-identical to a
-      // single-frame run of the same view.
-      if (!dec.final_image ||
-          !std::all_of(dec.have_state.begin(), dec.have_state.end(),
-                       [](bool b) { return b; })) {
-        throw mp::TransportError("run_compositing_sequence: clean frame " +
-                                 std::to_string(fo.frame) + " but incomplete worker reports");
-      }
-      MethodResult& result = ft.result;
-      result.method = std::string(method.name());
-      result.per_rank = std::move(dec.counters);
-      result.times = base.cost_model.critical_path(result.per_rank, dec.trace);
-      result.timeline = core::simulate_timeline(result.per_rank, dec.trace, base.cost_model);
-      result.m_max = core::max_received_message_bytes(dec.trace);
-      result.received_bytes_per_rank.resize(static_cast<std::size_t>(ranks));
-      for (int r = 0; r < ranks; ++r) {
-        result.received_bytes_per_rank[static_cast<std::size_t>(r)] =
-            core::received_message_bytes(dec.trace, r);
-      }
-      result.wall_ms = *std::max_element(dec.walls.begin(), dec.walls.end());
-      result.final_image = std::move(*dec.final_image);
+      // Clean full-strength frame: byte-identical to a single-frame run of
+      // the same view.
+      ft.result = result_from_reports(frame_method.get().name(), dec, base.cost_model);
     } else {
       // Mid-frame deaths at full strength: re-render the frame's subimages
       // here and run the single-frame recovery ladder (mid-frame plan repair
       // from shipped snapshots, else degraded recomposite).
-      const FrameGeometry geom = derive_frame_geometry(dataset, cfg);
-      std::vector<img::Image> subs;
-      subs.reserve(static_cast<std::size_t>(ranks));
-      for (const vol::Brick& brick : geom.bricks) {
-        subs.push_back(render_one_brick(dataset, cfg, brick));
-      }
-      ft.report.faulted = true;
-      std::vector<bool> failed(static_cast<std::size_t>(ranks), false);
-      for (const mp::WorkerFailure& f : fo.failures) {
-        ft.report.events.push_back({f.rank, f.stage, /*primary=*/true, /*attempt=*/0, f.what});
-        if (f.rank >= 0 && f.rank < ranks) failed[static_cast<std::size_t>(f.rank)] = true;
-      }
-      for (const WorkerFailureReport& wf : dec.worker_failures) {
-        if (wf.primary) continue;
-        ft.report.events.push_back(
-            {wf.rank, wf.stage, /*primary=*/false, /*attempt=*/0, wf.what});
-      }
-      const core::FoldCompositor folded(method);
-      const core::Compositor& m =
-          geom.folded ? static_cast<const core::Compositor&>(folded) : method;
-      ft = recover_frame(m, subs, geom.order, base.cost_model, dec.store, std::move(failed),
-                         std::move(ft.report));
+      const Experiment rendered(dataset, cfg);
+      std::vector<bool> failed = seed_failures(ft.report, fo.failures, dec, ranks);
+      ft = recover_frame(frame_method.get(), rendered.subimages(), rendered.order(),
+                         base.cost_model, dec.store, std::move(failed), std::move(ft.report));
     }
 
     out.report.faulted = out.report.faulted || ft.report.faulted;

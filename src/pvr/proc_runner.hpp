@@ -1,8 +1,9 @@
 // Multi-process compositing: run one method with real worker processes over
 // the socket transport backend.
 //
-// run_compositing_procs forks one worker per rank under mp::Supervisor. Each
-// worker connects back (bounded backoff), installs a SocketTransport in its
+// Experiment::run_procs forks one worker per rank under mp::Supervisor
+// (run_compositing_sequence keeps them resident across frames). Each worker
+// connects back (bounded backoff), installs a SocketTransport in its
 // CommContext and executes the *same* compositing SPMD body the in-process
 // runtime uses — the frame it produces is byte-identical to the thread
 // backend's. Results, traffic records and (on failure) retained stage
@@ -43,9 +44,9 @@ struct ProcCrash {
   int rank = -1;
   int stage = 0;
   Kind kind = Kind::kSigkill;
-  /// Sequence mode: fire only while rendering frame `frame` (-1 = any
-  /// frame, the single-frame behaviour). A respawned incarnation only sees
-  /// frames after the crash, so a planted crash never re-fires on it.
+  /// Fire only in frame `frame` (-1 = any frame; a single-frame run is
+  /// frame 0). A respawned incarnation only sees frames after the crash,
+  /// so a frame-qualified crash never re-fires on it.
   int frame = -1;
   int exit_code = 7;  ///< kExit: the nonzero status to _Exit() with
 };
@@ -61,7 +62,8 @@ struct ProcOptions {
   /// Bounded worker inbox: a full mailbox blocks the reader thread, pushing
   /// backpressure into the kernel socket buffers (0 = unbounded).
   std::size_t inbox_capacity = 1024;
-  std::optional<ProcCrash> crash;
+  /// Planted crashes (a single-frame run from the CLI plants at most one).
+  std::vector<ProcCrash> crashes;
   /// Tests: listen/connect here instead of the generated address
   /// ("unix:/path" or "tcp:host:port").
   std::optional<std::string> endpoint_override;
@@ -75,22 +77,11 @@ struct ProcOptions {
   }
 };
 
-/// Execute `method` over `subimages` with one real process per rank. Clean
-/// runs return a FaultReport with faulted == false and a MethodResult whose
-/// final_image is byte-identical to run_compositing's; runs with real worker
-/// deaths are finished from the survivors via recover_frame, with the
-/// supervisor's failure provenance ("killed by signal 9 (SIGKILL)",
-/// "heartbeat timeout: ...") in the report events.
-[[nodiscard]] FtMethodResult run_compositing_procs(
-    const core::Compositor& method, const std::vector<img::Image>& subimages,
-    const core::SwapOrder& order, const ProcOptions& opts,
-    const core::CostModel& model = core::CostModel::sp2());
-
 /// Multi-frame sequence mode (Supervisor::run_sequence): workers stay
 /// resident across frames, the camera steps per frame, and a rank that dies
 /// mid-frame is resurrected at the next frame boundary.
 struct SequenceProcOptions {
-  ProcOptions proc;  ///< transport/backoff/heartbeat knobs (proc.crash unused)
+  ProcOptions proc;  ///< transport/backoff/heartbeat knobs and planted crashes
   int frames = 1;
   /// Per-frame camera step (degrees), as in examples/rotation_sweep: frame f
   /// renders at (rot_x + f·rot_step_x, rot_y + f·rot_step_y). Every frame's
@@ -99,9 +90,6 @@ struct SequenceProcOptions {
   float rot_step_x = 7.0f;
   float rot_step_y = 11.0f;
   mp::RespawnPolicy respawn;
-  /// Frame-qualified planted crashes (each fires at most once; a respawned
-  /// incarnation never replays an already-crashed frame).
-  std::vector<ProcCrash> crashes;
   /// How long a worker waits for the next kFrameStart before giving up.
   std::chrono::milliseconds frame_deadline{60000};
 };

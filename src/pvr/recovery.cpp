@@ -36,15 +36,32 @@ const SnapshotStore::Snap* SnapshotStore::at_stage(int rank, int stage) const {
   return nullptr;
 }
 
+MethodResult assemble_result(std::string_view method, std::vector<core::Counters> per_rank,
+                             const mp::TrafficTrace& trace, const core::CostModel& model,
+                             double wall_ms, img::Image final_image) {
+  MethodResult result;
+  result.method = std::string(method);
+  result.per_rank = std::move(per_rank);
+  result.wall_ms = wall_ms;
+  result.times = model.critical_path(result.per_rank, trace);
+  result.timeline = core::simulate_timeline(result.per_rank, trace, model);
+  result.m_max = core::max_received_message_bytes(trace);
+  result.received_bytes_per_rank.resize(result.per_rank.size());
+  for (std::size_t r = 0; r < result.per_rank.size(); ++r) {
+    result.received_bytes_per_rank[r] =
+        core::received_message_bytes(trace, static_cast<int>(r));
+  }
+  result.final_image = std::move(final_image);
+  return result;
+}
+
 Attempt run_attempt(const core::Compositor& method, const std::vector<img::Image>& subimages,
                     const core::SwapOrder& order, const core::CostModel& model,
                     const mp::RunOptions& opts, SnapshotStore* store,
                     core::EngineArena* arena) {
   const int ranks = static_cast<int>(subimages.size());
   Attempt attempt;
-  MethodResult& result = attempt.result;
-  result.method = std::string(method.name());
-  result.per_rank.assign(static_cast<std::size_t>(ranks), core::Counters{});
+  std::vector<core::Counters> per_rank(static_cast<std::size_t>(ranks));
 
   // Per-rank engine contexts, grown on this thread before the rank threads
   // spawn so context(r) below needs no synchronization.
@@ -60,7 +77,7 @@ Attempt run_attempt(const core::Compositor& method, const std::vector<img::Image
     const RetentionGuard retention(store);
     const int rank = comm.rank();
     img::Image local = subimages[static_cast<std::size_t>(rank)];  // methods mutate
-    core::Counters& counters = result.per_rank[static_cast<std::size_t>(rank)];
+    core::Counters& counters = per_rank[static_cast<std::size_t>(rank)];
     const core::Ownership owned =
         method.composite(comm, local, order, counters, engines.context(rank));
     img::Image gathered = core::gather_final(comm, local, owned, /*root=*/0);
@@ -75,16 +92,9 @@ Attempt run_attempt(const core::Compositor& method, const std::vector<img::Image
   attempt.failures = run.failures();
   if (!attempt.failures.empty()) return attempt;
 
-  result.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  result.times = model.critical_path(result.per_rank, run.trace());
-  result.timeline = core::simulate_timeline(result.per_rank, run.trace(), model);
-  result.m_max = core::max_received_message_bytes(run.trace());
-  result.received_bytes_per_rank.resize(static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) {
-    result.received_bytes_per_rank[static_cast<std::size_t>(r)] =
-        core::received_message_bytes(run.trace(), r);
-  }
-  result.final_image = std::move(final_image);
+  attempt.result = assemble_result(method.name(), std::move(per_rank), run.trace(), model,
+                                   std::chrono::duration<double, std::milli>(t1 - t0).count(),
+                                   std::move(final_image));
   return attempt;
 }
 

@@ -21,6 +21,7 @@
 // survivors via the fold extension.
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "core/compositor.hpp"
@@ -77,7 +78,18 @@ class RetentionGuard {
   RetentionGuard& operator=(const RetentionGuard&) = delete;
 };
 
-/// One SPMD execution's outcome (partial on failure).
+/// A clean SPMD run's MethodResult: the critical-path model times, the
+/// staged timeline, M_max and the per-rank received bytes derived from the
+/// traffic trace, plus the counters, wall clock and gathered frame. The
+/// thread backend (run_attempt) and the worker-process backend (from the
+/// workers' shipped reports) both assemble their results here.
+[[nodiscard]] MethodResult assemble_result(std::string_view method,
+                                           std::vector<core::Counters> per_rank,
+                                           const mp::TrafficTrace& trace,
+                                           const core::CostModel& model, double wall_ms,
+                                           img::Image final_image);
+
+/// One SPMD execution's outcome (an empty result on failure).
 struct Attempt {
   MethodResult result;
   std::vector<mp::RankFailure> failures;
@@ -85,9 +97,9 @@ struct Attempt {
 };
 
 /// One SPMD execution under the given runtime options. On failure the
-/// MethodResult is partial (no final image, partial counters) — callers
-/// either rethrow or fold the failed ranks out and retry. With a non-null
-/// `store`, every rank retains per-stage partials for mid-frame repair.
+/// MethodResult is empty — callers either rethrow or fold the failed ranks
+/// out and retry. With a non-null `store`, every rank retains per-stage
+/// partials for mid-frame repair.
 /// Rank r composites with `arena->context(r)`; a null arena gets a one-shot
 /// arena for this attempt. The arena
 /// is grown on the calling thread before any rank thread spawns.

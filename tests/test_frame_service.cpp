@@ -158,13 +158,14 @@ TEST(EngineArena, TrimReleasesTheLargerFramesBuffers) {
 
 namespace {
 
-pvr::SessionConfig small_session(const std::string& name, vol::DatasetKind dataset) {
+pvr::SessionConfig small_session(const std::string& name, vol::DatasetKind dataset,
+                                 int ranks = 4) {
   pvr::SessionConfig config;
   config.name = name;
   config.dataset = dataset;
   config.volume_scale = 0.12;
   config.image_size = 64;
-  config.ranks = 4;
+  config.ranks = ranks;
   return config;
 }
 
@@ -188,9 +189,12 @@ TEST(FrameService, InterleavesSessionsAndMatchesSerialReferences) {
   const core::BsbrcCompositor bsbrc;
   const core::BslcCompositor bslc;
   const core::BinarySwapCompositor bs;
-  const core::Compositor* methods[] = {&bsbrc, &bslc, &bs};
+  // The last session runs at P=3: slab partition and the fold extension.
+  const core::Compositor* methods[] = {&bsbrc, &bslc, &bs, &bsbrc};
   const vol::DatasetKind datasets[] = {vol::DatasetKind::Cube, vol::DatasetKind::Head,
-                                       vol::DatasetKind::EngineLow};
+                                       vol::DatasetKind::EngineLow, vol::DatasetKind::Head};
+  const int ranks[] = {4, 4, 4, 3};
+  constexpr int kSessions = 4;
 
   pvr::FrameServiceConfig service_config;
   service_config.max_in_flight = 2;
@@ -206,9 +210,9 @@ TEST(FrameService, InterleavesSessionsAndMatchesSerialReferences) {
     img::Image references[2];
   };
   std::vector<State> states;
-  for (int s = 0; s < 3; ++s) {
+  for (int s = 0; s < kSessions; ++s) {
     const pvr::SessionConfig config =
-        small_session("s" + std::to_string(s), datasets[s]);
+        small_session("s" + std::to_string(s), datasets[s], ranks[s]);
     State state;
     state.id = service.add_session(config, *methods[s]);
     for (int v = 0; v < 2; ++v) {
@@ -244,11 +248,11 @@ TEST(FrameService, InterleavesSessionsAndMatchesSerialReferences) {
     expect_bytes_identical(frame.image, *sub.reference);
   }
   const pvr::ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(3 * kFrames));
-  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(3 * kFrames));
+  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kSessions * kFrames));
+  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kSessions * kFrames));
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.latencies_ms.size(), static_cast<std::size_t>(3 * kFrames));
+  EXPECT_EQ(stats.latencies_ms.size(), static_cast<std::size_t>(kSessions * kFrames));
 
   // The per-session pool stays trimmed to the session's own frame budget.
   for (const State& state : states) {

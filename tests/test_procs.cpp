@@ -234,7 +234,7 @@ TEST(ProcsChaos, SigkillMidFrameFinishesFromSurvivors) {
   const pvr::Experiment experiment(small_config(4));
   const slspvr::core::BsbrcCompositor bsbrc;
   pvr::ProcOptions opts = fast_opts();
-  opts.crash = pvr::ProcCrash{/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill};
+  opts.crashes = {pvr::ProcCrash{/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill}};
 
   const pvr::FtMethodResult ft = experiment.run_procs(bsbrc, opts);
   EXPECT_TRUE(ft.report.faulted);
@@ -255,7 +255,7 @@ TEST(ProcsChaos, SigstopIsCaughtByTheHeartbeatWatchdog) {
   pvr::ProcOptions opts = fast_opts();
   opts.heartbeat_interval = std::chrono::milliseconds{20};
   opts.heartbeat_timeout = std::chrono::milliseconds{300};
-  opts.crash = pvr::ProcCrash{/*rank=*/2, /*stage=*/1, pvr::ProcCrash::Kind::kSigstop};
+  opts.crashes = {pvr::ProcCrash{/*rank=*/2, /*stage=*/1, pvr::ProcCrash::Kind::kSigstop}};
 
   const pvr::FtMethodResult ft = experiment.run_procs(bsbrc, opts);
   EXPECT_TRUE(ft.report.faulted);
@@ -270,7 +270,7 @@ TEST(ProcsChaos, SigsegvProvenanceIsHumanReadable) {
   const pvr::Experiment experiment(small_config(4));
   const slspvr::core::BsbrcCompositor bsbrc;
   pvr::ProcOptions opts = fast_opts();
-  opts.crash = pvr::ProcCrash{/*rank=*/3, /*stage=*/1, pvr::ProcCrash::Kind::kSigsegv};
+  opts.crashes = {pvr::ProcCrash{/*rank=*/3, /*stage=*/1, pvr::ProcCrash::Kind::kSigsegv}};
 
   const pvr::FtMethodResult ft = experiment.run_procs(bsbrc, opts);
   EXPECT_TRUE(ft.report.faulted);
@@ -290,7 +290,7 @@ TEST(ProcsChaos, NonzeroExitProvenanceIsHumanReadable) {
   crash.stage = 1;
   crash.kind = pvr::ProcCrash::Kind::kExit;
   crash.exit_code = 7;
-  opts.crash = crash;
+  opts.crashes = {crash};
 
   const pvr::FtMethodResult ft = experiment.run_procs(bsbrc, opts);
   EXPECT_TRUE(ft.report.faulted);
@@ -352,6 +352,44 @@ TEST(Sequence, CleanFramesAreByteIdenticalToInProcess) {
   }
 }
 
+// P=3: the sequence workers composite with the fold extension and the
+// parent recovers a mid-frame death with it. Clean frames match the
+// in-process render of each view; the killed frame matches the thread
+// backend's recovery from the same death.
+TEST(Sequence, NonPowerOfTwoRanksFoldAndRecoverAcrossFrames) {
+  const pvr::ExperimentConfig base = small_config(3);
+  const vol::Dataset dataset = vol::make_dataset(base.dataset, base.volume_scale);
+  const slspvr::core::BsbrcCompositor bsbrc;
+  pvr::SequenceProcOptions opts = seq_opts(3);
+  opts.proc.crashes = {
+      pvr::ProcCrash{/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill, /*frame=*/1}};
+
+  const pvr::SequenceRunResult run = pvr::run_compositing_sequence(bsbrc, dataset, base, opts);
+  EXPECT_EQ(run.report.respawns, 1) << run.report.summary();
+  ASSERT_EQ(run.frames.size(), 3u);
+  for (const int f : {0, 2}) {
+    SCOPED_TRACE("frame " + std::to_string(f));
+    const pvr::FtMethodResult& ft = run.frames[static_cast<std::size_t>(f)];
+    EXPECT_FALSE(ft.report.faulted) << ft.report.summary();
+    const pvr::MethodResult want = pvr::Experiment(dataset, stepped(base, opts, f)).run(bsbrc);
+    EXPECT_EQ(ft.result.method, want.method);
+    expect_images_identical(ft.result.final_image, want.final_image);
+  }
+
+  const pvr::FtMethodResult& killed = run.frames[1];
+  EXPECT_TRUE(killed.report.faulted);
+  EXPECT_TRUE(any_event_contains(killed.report, "SIGKILL")) << killed.report.summary();
+  ASSERT_EQ(killed.report.failed_ranks, std::vector<int>{1});
+  mp::FaultPlan kill;
+  kill.kills.push_back({/*rank=*/1, /*stage=*/1});
+  const pvr::FtMethodResult want =
+      pvr::Experiment(dataset, stepped(base, opts, 1)).run_ft(bsbrc, kill);
+  EXPECT_EQ(killed.report.degraded, want.report.degraded);
+  EXPECT_EQ(killed.report.resumed, want.report.resumed);
+  EXPECT_EQ(killed.result.method, want.result.method);
+  expect_images_identical(killed.result.final_image, want.result.final_image);
+}
+
 namespace {
 
 /// The acceptance sweep: 10 frames, 4 ranks, every rank killed exactly once
@@ -363,7 +401,7 @@ void run_kill_each_rank_once(const std::string& transport) {
   const vol::Dataset dataset = vol::make_dataset(base.dataset, base.volume_scale);
   const slspvr::core::BsbrcCompositor bsbrc;
   pvr::SequenceProcOptions opts = seq_opts(10, transport);
-  opts.crashes = {
+  opts.proc.crashes = {
       pvr::ProcCrash{/*rank=*/0, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill, /*frame=*/2},
       pvr::ProcCrash{/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigsegv, /*frame=*/4},
       pvr::ProcCrash{/*rank=*/2, /*stage=*/1, pvr::ProcCrash::Kind::kExit, /*frame=*/6,
@@ -408,7 +446,7 @@ TEST(SequenceChaos, SameRankDiesTwiceAndComesBackTwice) {
   const vol::Dataset dataset = vol::make_dataset(base.dataset, base.volume_scale);
   const slspvr::core::BsbrcCompositor bsbrc;
   pvr::SequenceProcOptions opts = seq_opts(5);
-  opts.crashes = {
+  opts.proc.crashes = {
       pvr::ProcCrash{/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill, /*frame=*/1},
       pvr::ProcCrash{/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill, /*frame=*/3},
   };
@@ -436,7 +474,7 @@ TEST(SequenceChaos, RespawnBudgetExhaustionDemotesForGood) {
   const slspvr::core::BsbrcCompositor bsbrc;
   pvr::SequenceProcOptions opts = seq_opts(4);
   opts.respawn.max_respawns_per_rank = 0;  // circuit breaker opens immediately
-  opts.crashes = {
+  opts.proc.crashes = {
       pvr::ProcCrash{/*rank=*/1, /*stage=*/1, pvr::ProcCrash::Kind::kSigkill, /*frame=*/1}};
 
   const pvr::SequenceRunResult run = pvr::run_compositing_sequence(bsbrc, dataset, base, opts);

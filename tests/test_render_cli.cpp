@@ -210,11 +210,10 @@ TEST(RenderCli, SequenceFlagsLowerOntoSequenceOptions) {
   const pvr::SequenceProcOptions seq = tools::to_sequence_options(cli);
   EXPECT_EQ(seq.frames, 10);
   EXPECT_EQ(seq.proc.transport, "tcp");
-  EXPECT_FALSE(seq.proc.crash.has_value()) << "sequence crashes ride in seq.crashes";
   EXPECT_EQ(seq.respawn.max_respawns_per_rank, 0);
-  ASSERT_EQ(seq.crashes.size(), 1u);
-  EXPECT_EQ(seq.crashes.front().kind, pvr::ProcCrash::Kind::kSigsegv);
-  EXPECT_EQ(seq.crashes.front().frame, 2);
+  ASSERT_EQ(seq.proc.crashes.size(), 1u);
+  EXPECT_EQ(seq.proc.crashes.front().kind, pvr::ProcCrash::Kind::kSigsegv);
+  EXPECT_EQ(seq.proc.crashes.front().frame, 2);
 }
 
 TEST(RenderCli, ValidatedFlagsLowerOntoProcOptions) {
@@ -227,8 +226,8 @@ TEST(RenderCli, ValidatedFlagsLowerOntoProcOptions) {
   EXPECT_EQ(opts.transport, "tcp");
   EXPECT_EQ(opts.heartbeat_interval.count(), 15);
   EXPECT_EQ(opts.heartbeat_timeout.count(), 450);
-  ASSERT_TRUE(opts.crash.has_value());
-  EXPECT_EQ(opts.crash->rank, 1);
-  EXPECT_EQ(opts.crash->stage, 2);
-  EXPECT_EQ(opts.crash->kind, pvr::ProcCrash::Kind::kSigstop);
+  ASSERT_EQ(opts.crashes.size(), 1u);
+  EXPECT_EQ(opts.crashes.front().rank, 1);
+  EXPECT_EQ(opts.crashes.front().stage, 2);
+  EXPECT_EQ(opts.crashes.front().kind, pvr::ProcCrash::Kind::kSigstop);
 }

@@ -307,7 +307,7 @@ inline void validate_proc_cli(const ProcCli& cli, bool fault_flags_present) {
   opts.transport = cli.transport;
   opts.heartbeat_interval = std::chrono::milliseconds(cli.heartbeat_ms);
   opts.heartbeat_timeout = std::chrono::milliseconds(cli.heartbeat_timeout_ms);
-  if (!cli.crashes.empty()) opts.crash = cli.crashes.front();
+  opts.crashes = cli.crashes;
   return opts;
 }
 
@@ -315,10 +315,8 @@ inline void validate_proc_cli(const ProcCli& cli, bool fault_flags_present) {
 [[nodiscard]] inline pvr::SequenceProcOptions to_sequence_options(const ProcCli& cli) {
   pvr::SequenceProcOptions seq;
   seq.proc = to_proc_options(cli);
-  seq.proc.crash.reset();  // sequence crashes ride in seq.crashes instead
   seq.frames = cli.frames;
   seq.respawn.max_respawns_per_rank = cli.respawn_max;
-  seq.crashes = cli.crashes;
   return seq;
 }
 
